@@ -17,7 +17,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from gridexplore.envs import EnvSpec  # noqa: E402
+from gridexplore.envs import N_ACTIONS, EnvSpec  # noqa: E402
 from gridexplore.harness import (  # noqa: E402
     collect_probe_dataset,
     load_checkpoint,
@@ -34,7 +34,7 @@ def model_from_checkpoint(path):
         line.split(" = ", 1) for line in meta["config"]
     ))
     rng = np.random.default_rng(0)
-    model = DiscModel(cfg.view_size, 7, rng, embed_dim=cfg.embed_dim,
+    model = DiscModel(cfg.view_size, N_ACTIONS, rng, embed_dim=cfg.embed_dim,
                       hidden=cfg.hidden, channels=tuple(cfg.channels),
                       norm=cfg.norm)
     prefix = "m.bonus_model."
@@ -63,7 +63,7 @@ def main(argv=None):
         spec = EnvSpec(task=args.task, view_size=cfg.view_size)
     else:
         rng = np.random.default_rng(args.seed)
-        model = DiscModel(7, 7, rng)
+        model = DiscModel(7, N_ACTIONS, rng)
         spec = EnvSpec(task=args.task)
 
     data = collect_probe_dataset(spec, args.seed, episodes=args.episodes)

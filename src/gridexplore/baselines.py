@@ -1,6 +1,7 @@
 """Baseline and ablation bonus models.
 
-Each model reuses the discriminator's CNN(+GRU) shapes with its own head:
+ForwardModel and InverseModel share the discriminator's CNN + GRU
+(`nn.EmbeddingModel`) and add their own head; RndModel is two encoders:
 
 - ForwardModel: predicts the next observation embedding from (e_obs, a);
   its squared prediction error is the exploration bonus.
@@ -17,24 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import CnnEncoder, GruCell, Mlp, Module, Tensor, concat
+from .nn import CnnEncoder, EmbeddingModel, Mlp, Module, Tensor, concat
 
 
-class ForwardModel(Module):
-    def __init__(self, view_size, n_actions, rng, embed_dim=64, hidden=128,
-                 channels=(32, 64, 64), norm="batch"):
-        super().__init__()
-        self.n_actions = n_actions
-        self.embed_dim = embed_dim
-        self.encoder = CnnEncoder(view_size, embed_dim, rng,
-                                  norm=norm, channels=channels)
-        self.gru = GruCell(embed_dim, embed_dim, rng)
-        self.head = Mlp([embed_dim + n_actions, hidden, embed_dim],
-                        rng, norm=norm, out_gain=1.0)
-
-    def embed(self, obs: Tensor, h_prev: Tensor):
-        e_obs = self.encoder(obs)
-        return e_obs, self.gru(e_obs, h_prev)
+class ForwardModel(EmbeddingModel):
+    def _heads(self, hidden, rng, norm):
+        self.head = Mlp([self.embed_dim + self.n_actions, hidden,
+                         self.embed_dim], rng, norm=norm, out_gain=1.0)
 
     def predict(self, e_obs_t: Tensor, act_onehot: Tensor) -> Tensor:
         return self.head(concat([e_obs_t, act_onehot], axis=1))
@@ -53,26 +43,15 @@ def forward_error(model: ForwardModel, e_obs_t, action_onehot, e_obs_next):
     return ((pred.data - e_obs_next) ** 2).sum(axis=-1)
 
 
-class InverseModel(Module):
-    def __init__(self, view_size, n_actions, rng, embed_dim=64, hidden=128,
-                 channels=(32, 64, 64), norm="batch"):
-        super().__init__()
-        self.n_actions = n_actions
-        self.embed_dim = embed_dim
-        self.encoder = CnnEncoder(view_size, embed_dim, rng,
-                                  norm=norm, channels=channels)
-        self.gru = GruCell(embed_dim, embed_dim, rng)
-        self.head = Mlp([2 * embed_dim, hidden, n_actions],
+class InverseModel(EmbeddingModel):
+    def _heads(self, hidden, rng, norm):
+        self.head = Mlp([2 * self.embed_dim, hidden, self.n_actions],
                         rng, norm=norm, out_gain=1.0)
 
-    def embed(self, obs: Tensor, h_prev: Tensor):
-        e_obs = self.encoder(obs)
-        return e_obs, self.gru(e_obs, h_prev)
-
     def loss(self, batch) -> Tensor:
-        traj_t = self.gru(self.encoder(Tensor(batch["obs_t"])),
-                          Tensor(batch["h_prev"]))
-        traj_next = self.gru(self.encoder(Tensor(batch["obs_next"])), traj_t)
+        traj_t, traj_next = self.embed_pair(Tensor(batch["obs_t"]),
+                                            Tensor(batch["obs_next"]),
+                                            Tensor(batch["h_prev"]))
         logits = self.head(concat([traj_t, traj_next], axis=1))
         logp = logits.log_softmax()
         actions = batch["action"].argmax(axis=1)

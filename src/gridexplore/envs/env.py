@@ -27,6 +27,8 @@ class StepResult:
 class Env:
     """One grid-world worker: reset() starts a fresh random layout."""
 
+    _PLANES = ("obj", "color", "state")  # the world's uint8 grids
+
     def __init__(self, spec: EnvSpec, seed: int):
         self.spec = spec
         self._layout_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
@@ -56,6 +58,39 @@ class Env:
         )
         obs, net = self._observe()
         return StepResult(obs, net, reward, done, core.state_id(self.world))
+
+    def dump_state(self):
+        """(meta, arrays) that `load_state` restores this worker from:
+        the world's scalars and RNG states, and its uint8 grid planes."""
+        w = self.world
+        meta = {
+            "agent_pos": list(w.agent_pos),
+            "agent_dir": int(w.agent_dir),
+            "carried": list(w.carried) if w.carried else None,
+            "step_count": w.step_count,
+            "done": w.done,
+            "max_steps": w.max_steps,
+            "width": w.width,
+            "height": w.height,
+            "layout_rng": self._layout_rng.bit_generator.state,
+            "noise_rng": self._noise_rng.bit_generator.state,
+        }
+        return meta, {p: getattr(w, p) for p in self._PLANES}
+
+    def load_state(self, meta, arrays):
+        w = self.world
+        if w is None or (w.width, w.height) != (meta["width"], meta["height"]):
+            raise core.EnvError("environment shape mismatch")
+        for plane in self._PLANES:
+            getattr(w, plane)[:] = arrays[plane]
+        w.agent_pos = tuple(meta["agent_pos"])
+        w.agent_dir = core.Dir(meta["agent_dir"])
+        w.carried = tuple(meta["carried"]) if meta["carried"] else None
+        w.step_count = meta["step_count"]
+        w.done = meta["done"]
+        w.max_steps = meta["max_steps"]
+        self._layout_rng.bit_generator.state = meta["layout_rng"]
+        self._noise_rng.bit_generator.state = meta["noise_rng"]
 
     def render(self) -> str:
         return core.render_ascii(self.world)

@@ -14,7 +14,7 @@ import tempfile
 from ..nn import BlobError, pack_arrays, unpack_arrays
 
 MAGIC = b"GXCK"
-VERSION = 1
+VERSION = 2  # 2: uint8 grid planes and queue rows
 
 
 class CheckpointError(Exception):

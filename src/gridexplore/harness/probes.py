@@ -11,7 +11,7 @@ from collections import deque
 
 import numpy as np
 
-from ..envs import Action, Env, Obj, solve
+from ..envs import N_ACTIONS, Action, Env, Obj, solve
 from ..nn import Adam, Mlp, Tensor, no_grad
 
 PROBE_TASKS = (
@@ -83,7 +83,7 @@ def collect_probe_dataset(spec, seed, episodes=40, detour_prob=0.35):
             if plan and rng.random() >= detour_prob:
                 action = plan.pop(0)
             else:
-                action = Action(int(rng.integers(7)))
+                action = Action(int(rng.integers(N_ACTIONS)))
                 plan = []  # wandered off the plan; recompute lazily
             res = env.step(action)
             obs_seq.append(res.net_obs)

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from ..envs import Dir, Env, default_max_steps
+from ..envs import N_ACTIONS, EnvError, Env, default_max_steps
 from ..intrinsic import IRNormState, normalize_ir
 from ..methods import make_method
 from ..nn import Adam
@@ -41,14 +41,14 @@ class Trainer:
         spec = cfg.env_spec()
         init_rng = _rng(seed, 1)
         self.policy = ActorCritic(
-            spec.view_size, 7, init_rng, embed_dim=cfg.embed_dim,
+            spec.view_size, N_ACTIONS, init_rng, embed_dim=cfg.embed_dim,
             hidden=cfg.hidden, channels=cfg.channels, norm=cfg.norm,
         )
         self.policy.eval()
         self.opt = Adam(self.policy.parameters(), lr=cfg.lr, eps=cfg.adam_eps)
         memory_capacity = (cfg.max_steps or default_max_steps(cfg.task)) + 2
         self.method = make_method(
-            cfg.method, cfg.workers, spec.view_size, 7, _rng(seed, 2),
+            cfg.method, cfg.workers, spec.view_size, N_ACTIONS, _rng(seed, 2),
             embed_dim=cfg.embed_dim, hidden=cfg.hidden,
             channels=cfg.channels, norm=cfg.norm, lr=cfg.method_lr,
             adam_eps=cfg.adam_eps, memory_capacity=memory_capacity,
@@ -138,36 +138,6 @@ class Trainer:
 
     # -- exact-resume checkpointing ---------------------------------------
 
-    def _env_meta(self, env):
-        w = env.world
-        return {
-            "agent_pos": list(w.agent_pos),
-            "agent_dir": int(w.agent_dir),
-            "carried": list(w.carried) if w.carried else None,
-            "step_count": w.step_count,
-            "done": w.done,
-            "max_steps": w.max_steps,
-            "width": w.width,
-            "height": w.height,
-            "layout_rng": env._layout_rng.bit_generator.state,
-            "noise_rng": env._noise_rng.bit_generator.state,
-        }
-
-    def _restore_env(self, env, meta, arrays, prefix):
-        w = env.world
-        if w is None or (w.width, w.height) != (meta["width"], meta["height"]):
-            raise CheckpointError("environment shape mismatch")
-        for plane in ("obj", "color", "state"):
-            getattr(w, plane)[:] = arrays[prefix + plane].astype(np.uint8)
-        w.agent_pos = tuple(meta["agent_pos"])
-        w.agent_dir = Dir(meta["agent_dir"])
-        w.carried = tuple(meta["carried"]) if meta["carried"] else None
-        w.step_count = meta["step_count"]
-        w.done = meta["done"]
-        w.max_steps = meta["max_steps"]
-        env._layout_rng.bit_generator.state = meta["layout_rng"]
-        env._noise_rng.bit_generator.state = meta["noise_rng"]
-
     def save(self, path):
         c = self.collector
         meta = {
@@ -190,8 +160,6 @@ class Trainer:
             "method_rng": self.method_rng.bit_generator.state,
             "ir_state": [self.ir_state.mean, self.ir_state.std],
             "adv_state": [self.adv_state.mean, self.adv_state.std],
-            "method_meta": self.method.extra_meta(),
-            "envs": [self._env_meta(env) for env in c.envs],
         }
         arrays = {}
         for name, arr in self.policy.state_arrays().items():
@@ -206,12 +174,12 @@ class Trainer:
             arrays["mx." + name] = arr
         arrays["collector.cur_obs"] = c.cur_obs
         arrays["collector.policy_hidden"] = c.policy_hidden
+        meta["envs"] = []
         for w, env in enumerate(c.envs):
-            world = env.world
-            for plane in ("obj", "color", "state"):
-                arrays[f"env{w}.{plane}"] = getattr(world, plane).astype(
-                    np.float32
-                )
+            env_meta, planes = env.dump_state()
+            meta["envs"].append(env_meta)
+            for name, arr in planes.items():
+                arrays[f"env{w}.{name}"] = arr
         save_checkpoint(path, meta, arrays)
 
     # run-control keys may legitimately change on resume (extending the
@@ -241,9 +209,13 @@ class Trainer:
                 module.load_state(sub(f"m.{mname}."))
             for oname, opt in self.method.optimizers().items():
                 opt.load_state(arrays, f"mo.{oname}.")
+            for w, env in enumerate(self.collector.envs):
+                env.load_state(meta["envs"][w], sub(f"env{w}."))
         except KeyError as exc:
             raise CheckpointError(f"missing checkpoint array {exc}") from exc
-        self.method.load_extra(sub("mx."), meta["method_meta"])
+        except EnvError as exc:
+            raise CheckpointError(str(exc)) from exc
+        self.method.load_extra(sub("mx."))
 
         c = self.collector
         c.cur_obs = arrays["collector.cur_obs"].astype(np.float32)
@@ -265,8 +237,6 @@ class Trainer:
         self.method_rng.bit_generator.state = meta["method_rng"]
         self.ir_state.mean, self.ir_state.std = meta["ir_state"]
         self.adv_state.mean, self.adv_state.std = meta["adv_state"]
-        for w, env in enumerate(c.envs):
-            self._restore_env(env, meta["envs"][w], arrays, f"env{w}.")
         self.frames = meta["frames"]
         self.iteration = meta["iteration"]
         # metric rows before the checkpoint are not replayed; resumed rows

@@ -14,11 +14,11 @@ drawn from a queue of recent novel observations.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import GruCell, Mlp, Module, Tensor, CnnEncoder, concat
+from .nn import EmbeddingModel, Mlp, Tensor, concat
 
 EPSILON = 1e-6
 
@@ -102,14 +102,17 @@ class ObservationQueue:
     Each entry is an (integer_obs, network_obs) pair: equality against a
     candidate positive is tested on the integer observation, while the
     network observation (normalized, possibly noisy) is what the
-    discriminator consumes.
+    discriminator consumes. The entries live in two ring arrays whose
+    row shape and dtype come from the first push. A row is written only
+    when it is pushed and only live rows are copied out, so the unfilled
+    part of a large ring is never touched.
     """
 
     def __init__(self, max_size: int = 100_000, smoothing: float = 0.9):
         self.max_size = max_size
         self.smoothing = smoothing
         self.running_avg = 0.0
-        self._items = [None] * max_size
+        self._obs = self._net = None
         self._start = 0
         self.count = 0
 
@@ -119,15 +122,45 @@ class ObservationQueue:
     def __getitem__(self, i):
         if not 0 <= i < self.count:
             raise IndexError(i)
-        return self._items[(self._start + i) % self.max_size]
+        j = (self._start + i) % self.max_size
+        return self._obs[j], self._net[j]
 
-    def _push(self, item):
+    def _allocate(self, obs, net_obs):
+        obs, net_obs = np.asarray(obs), np.asarray(net_obs)
+        self._obs = np.empty((self.max_size,) + obs.shape, obs.dtype)
+        self._net = np.empty((self.max_size,) + net_obs.shape, net_obs.dtype)
+
+    def push(self, obs, net_obs):
+        """Append a pair, evicting the oldest when full."""
+        if self._obs is None:
+            self._allocate(obs, net_obs)
         if self.count < self.max_size:
-            self._items[(self._start + self.count) % self.max_size] = item
+            j = (self._start + self.count) % self.max_size
             self.count += 1
         else:  # evict oldest
-            self._items[self._start] = item
+            j = self._start
             self._start = (self._start + 1) % self.max_size
+        self._obs[j] = obs
+        self._net[j] = net_obs
+
+    def state_arrays(self, prefix=""):
+        """Running average and the live rows, oldest first."""
+        out = {f"{prefix}running_avg": np.array([self.running_avg])}
+        if self.count:
+            rows = (self._start + np.arange(self.count)) % self.max_size
+            out[f"{prefix}obs"] = self._obs[rows]
+            out[f"{prefix}net"] = self._net[rows]
+        return out
+
+    def load_state(self, arrays, prefix=""):
+        self.running_avg = float(arrays[f"{prefix}running_avg"][0])
+        self._start = self.count = 0
+        if f"{prefix}obs" in arrays:
+            obs, net = arrays[f"{prefix}obs"], arrays[f"{prefix}net"]
+            self._allocate(obs[0], net[0])
+            self.count = len(obs)
+            self._obs[: self.count] = obs
+            self._net[: self.count] = net
 
 
 def update_queue(q: ObservationQueue, obs, net_obs, r_i: float) -> None:
@@ -136,7 +169,7 @@ def update_queue(q: ObservationQueue, obs, net_obs, r_i: float) -> None:
     s = q.smoothing
     q.running_avg = s * q.running_avg + (1.0 - s) * r_i
     if q.count == 0 or r_i >= q.running_avg:
-        q._push((obs, net_obs))
+        q.push(obs, net_obs)
 
 
 def sample_negative(q: ObservationQueue, true_next, rng):
@@ -176,33 +209,17 @@ def normalize_ir(raw: np.ndarray, state: IRNormState) -> np.ndarray:
 # Discriminative transition model
 
 
-class DiscModel(Module):
+class DiscModel(EmbeddingModel):
     """Shared CNN encoder, GRU trajectory embedding, and an MLP that
     scores (e_traj_t, e_traj_x, one-hot action) as genuine-vs-fake."""
 
-    def __init__(self, view_size, n_actions, rng, embed_dim=64, hidden=128,
-                 channels=(32, 64, 64), norm="batch"):
-        super().__init__()
-        self.n_actions = n_actions
-        self.embed_dim = embed_dim
-        self.encoder = CnnEncoder(view_size, embed_dim, rng,
-                                  norm=norm, channels=channels)
-        self.gru = GruCell(embed_dim, embed_dim, rng)
-        self.head = Mlp([2 * embed_dim + n_actions, hidden, hidden, 1],
-                        rng, norm=norm, out_gain=1.0)
-
-    def embed(self, obs: Tensor, h_prev: Tensor):
-        """(e_obs, e_traj): e_traj doubles as the next GRU hidden state."""
-        e_obs = self.encoder(obs)
-        e_traj = self.gru(e_obs, h_prev)
-        return e_obs, e_traj
+    def _heads(self, hidden, rng, norm):
+        self.head = Mlp([2 * self.embed_dim + self.n_actions, hidden, hidden,
+                         1], rng, norm=norm, out_gain=1.0)
 
     def logits(self, obs_t: Tensor, act_onehot: Tensor, obs_x: Tensor,
                h_prev: Tensor) -> Tensor:
-        e_t = self.encoder(obs_t)
-        traj_t = self.gru(e_t, h_prev)
-        e_x = self.encoder(obs_x)
-        traj_x = self.gru(e_x, traj_t)
+        traj_t, traj_x = self.embed_pair(obs_t, obs_x, h_prev)
         return self.head(concat([traj_t, traj_x, act_onehot], axis=1))
 
 

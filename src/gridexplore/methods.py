@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baselines import ForwardModel, InverseModel, RndModel
+from .baselines import ForwardModel, InverseModel, RndModel, forward_error
+from .envs import N_ACTIONS
 from .intrinsic import (
     DiscModel,
     EpisodicMemory,
@@ -24,13 +25,7 @@ from .nn import Adam, Tensor, no_grad
 METHODS = ("DEIR", "PlainNovelty", "ForwardError", "InverseDriven", "RND",
            "NoIntrinsic")
 
-_EYE7 = np.eye(7, dtype=np.float32)
-
-
-def _minibatches(n, size, rng):
-    order = rng.permutation(n)
-    for start in range(0, n - size + 1, size):
-        yield order[start : start + size]
+_ONE_HOT = np.eye(N_ACTIONS, dtype=np.float32)
 
 
 class NoIntrinsic:
@@ -66,47 +61,26 @@ class NoIntrinsic:
     def extra_arrays(self):
         return {}
 
-    def load_extra(self, arrays, meta):
+    def load_extra(self, arrays):
         pass
 
-    def extra_meta(self):
-        return {}
 
+class _ModelMethod(NoIntrinsic):
+    """A bonus from one trained model: its optimizer and its fit loop.
 
-class _RecurrentMethod(NoIntrinsic):
-    """Shared plumbing for methods with a CNN+GRU embedding model."""
+    Subclasses choose the batches of one epoch (`_epoch`) and the loss of
+    one batch (`_loss`).
+    """
 
-    def __init__(self, n_workers, model, lr, adam_eps, memory_capacity):
+    batch_keys = ("obs_t", "obs_next", "action")
+
+    def __init__(self, n_workers, model, lr, adam_eps, params=None):
         self.n_workers = n_workers
         self.model = model
-        self.hidden_dim = model.embed_dim
-        self.opt = Adam(model.parameters(), lr=lr, eps=adam_eps)
-        self.h = np.zeros((n_workers, model.embed_dim), np.float32)
-        self._h_before = np.zeros_like(self.h)
-        self.memories = [
-            EpisodicMemory(model.embed_dim, model.embed_dim, memory_capacity)
-            for _ in range(n_workers)
-        ]
+        if params is None:
+            params = model.parameters()
+        self.opt = Adam(params, lr=lr, eps=adam_eps)
         self.model.eval()
-
-    def start(self, obs):
-        self.h[:] = 0.0
-        self._h_before[:] = 0.0
-        with no_grad():
-            _, traj = self.model.embed(Tensor(obs), Tensor(self.h))
-        self.h = traj.data.astype(np.float32)
-
-    def h_prev(self):
-        return self._h_before.copy()
-
-    def on_reset(self, w, net_obs):
-        self._h_before[w] = 0.0
-        with no_grad():
-            _, traj = self.model.embed(
-                Tensor(net_obs[None]), Tensor(np.zeros((1, self.hidden_dim),
-                                                       np.float32))
-            )
-        self.h[w] = traj.data[0]
 
     def modules(self):
         return {"bonus_model": self.model}
@@ -114,50 +88,24 @@ class _RecurrentMethod(NoIntrinsic):
     def optimizers(self):
         return {"bonus_opt": self.opt}
 
-    def extra_arrays(self):
-        out = {"h": self.h, "h_before": self._h_before}
-        for w, mem in enumerate(self.memories):
-            out[f"mem{w}_obs"] = mem.obs.copy()
-            out[f"mem{w}_traj"] = mem.traj.copy()
-        return out
+    def _epoch(self, pos, size, rng):
+        """One fresh permutation of the rollout, cut into whole batches."""
+        order = rng.permutation(pos["obs_t"].shape[0])
+        for start in range(0, len(order) - size + 1, size):
+            idx = order[start : start + size]
+            yield {k: pos[k][idx] for k in self.batch_keys}
 
-    def load_extra(self, arrays, meta):
-        self.h = arrays["h"].astype(np.float32)
-        self._h_before = arrays["h_before"].astype(np.float32)
-        for w, mem in enumerate(self.memories):
-            obs = arrays[f"mem{w}_obs"]
-            mem.clear()
-            for i in range(obs.shape[0]):
-                mem.append(obs[i], arrays[f"mem{w}_traj"][i])
-
-
-class _QueueMethod(_RecurrentMethod):
-    """Adds the negative-example observation queue and its checkpointing."""
-
-    def __init__(self, n_workers, model, lr, adam_eps, memory_capacity,
-                 queue_size, queue_smoothing):
-        super().__init__(n_workers, model, lr, adam_eps, memory_capacity)
-        self.queue = ObservationQueue(queue_size, queue_smoothing)
-
-    def _embed_next(self, obs_next):
-        with no_grad():
-            e_obs, e_traj = self.model.embed(Tensor(obs_next), Tensor(self.h))
-        return e_obs.data, e_traj.data.astype(np.float32)
+    def _loss(self, batch):
+        return self.model.loss(batch)
 
     def update(self, buffer, rng, epochs, minibatch):
         pos = buffer.flat_positives()
-        n = pos["obs_t"].shape[0]
         self.model.train()
         total, count = 0.0, 0
         for _ in range(epochs):
-            for _start in range(0, n, minibatch):
-                if _start + minibatch > n:
-                    break
-                batch = build_disc_batch(pos, self.queue, minibatch, rng)
-                if batch["label"].size < 4:
-                    continue
+            for batch in self._epoch(pos, minibatch, rng):
                 self.model.zero_grad()
-                loss = disc_loss(self.model, batch)
+                loss = self._loss(batch)
                 loss.backward()
                 self.opt.step()
                 total += float(loss.data)
@@ -165,30 +113,104 @@ class _QueueMethod(_RecurrentMethod):
         self.model.eval()
         return {"model_loss": total / max(count, 1)}
 
+
+class _RecurrentMethod(_ModelMethod):
+    """Bonus methods on a CNN+GRU embedding model with per-worker hidden
+    state and episodic memories. The default bonus is the DEIR ratio
+    (`_bonus`), one `intrinsic_reward` call per worker."""
+
+    def __init__(self, n_workers, model, lr, adam_eps, memory_capacity):
+        super().__init__(n_workers, model, lr, adam_eps)
+        self.hidden_dim = model.embed_dim
+        self.h = np.zeros((n_workers, model.embed_dim), np.float32)
+        self._h_before = np.zeros_like(self.h)
+        self.e_cur = np.zeros_like(self.h)  # embedding of the current obs
+        self.memories = [
+            EpisodicMemory(model.embed_dim, model.embed_dim, memory_capacity)
+            for _ in range(n_workers)
+        ]
+
+    def _embed(self, obs, h):
+        with no_grad():
+            e_obs, e_traj = self.model.embed(Tensor(obs), Tensor(h))
+        return e_obs.data.astype(np.float32), e_traj.data.astype(np.float32)
+
+    def start(self, obs):
+        self._h_before[:] = 0.0
+        self.e_cur, self.h = self._embed(obs, np.zeros_like(self.h))
+
+    def h_prev(self):
+        return self._h_before.copy()
+
+    def on_reset(self, w, net_obs):
+        self._h_before[w] = 0.0
+        e_obs, e_traj = self._embed(net_obs[None], np.zeros_like(self.h[:1]))
+        self.e_cur[w], self.h[w] = e_obs[0], e_traj[0]
+
+    def step(self, obs_next, actions, clean_next, dones):
+        e_obs, e_traj = self._embed(obs_next, self.h)
+        r = self._rewards(e_obs, actions, obs_next, clean_next, dones)
+        self._h_before, self.h, self.e_cur = self.h, e_traj, e_obs
+        return r
+
+    def _rewards(self, e_obs, actions, obs_next, clean_next, dones):
+        return np.array([self._bonus(e_obs[w], w, bool(dones[w]))
+                         for w in range(self.n_workers)])
+
+    def _bonus(self, e_obs, w, done):
+        return intrinsic_reward(e_obs, self.h[w], self.memories[w], done)
+
     def extra_arrays(self):
-        out = super().extra_arrays()
-        if len(self.queue):
-            out["queue_clean"] = np.stack(
-                [self.queue[i][0] for i in range(len(self.queue))]
-            ).astype(np.float32)
-            out["queue_net"] = np.stack(
-                [self.queue[i][1] for i in range(len(self.queue))]
-            )
+        out = {"h": self.h, "h_before": self._h_before, "e_cur": self.e_cur}
+        for w, mem in enumerate(self.memories):
+            out[f"mem{w}_obs"] = mem.obs.copy()
+            out[f"mem{w}_traj"] = mem.traj.copy()
         return out
 
-    def load_extra(self, arrays, meta):
-        super().load_extra(arrays, meta)
-        self.queue.running_avg = meta["queue_running_avg"]
-        self.queue._start = 0
-        self.queue.count = 0
-        if "queue_clean" in arrays:
-            clean = arrays["queue_clean"].astype(np.uint8)
-            net = arrays["queue_net"]
-            for i in range(clean.shape[0]):
-                self.queue._push((clean[i], net[i]))
+    def load_extra(self, arrays):
+        self.h = arrays["h"]
+        self._h_before = arrays["h_before"]
+        self.e_cur = arrays["e_cur"]
+        for w, mem in enumerate(self.memories):
+            mem.clear()
+            for e_obs, e_traj in zip(arrays[f"mem{w}_obs"],
+                                     arrays[f"mem{w}_traj"]):
+                mem.append(e_obs, e_traj)
 
-    def extra_meta(self):
-        return {"queue_running_avg": self.queue.running_avg}
+
+class _QueueMethod(_RecurrentMethod):
+    """Trains the discriminator against a queue of recent novel
+    observations, which each step's bonus decides whether to join."""
+
+    def __init__(self, n_workers, model, lr, adam_eps, memory_capacity,
+                 queue_size, queue_smoothing):
+        super().__init__(n_workers, model, lr, adam_eps, memory_capacity)
+        self.queue = ObservationQueue(queue_size, queue_smoothing)
+
+    def _rewards(self, e_obs, actions, obs_next, clean_next, dones):
+        r = super()._rewards(e_obs, actions, obs_next, clean_next, dones)
+        for w in range(self.n_workers):
+            update_queue(self.queue, clean_next[w], obs_next[w], r[w])
+        return r
+
+    def _epoch(self, pos, size, rng):
+        """n // size discriminator batches; one with fewer than 4 labels
+        (the queue could not supply negatives) is skipped."""
+        for _ in range(pos["obs_t"].shape[0] // size):
+            batch = build_disc_batch(pos, self.queue, size, rng)
+            if batch["label"].size >= 4:
+                yield batch
+
+    def _loss(self, batch):
+        return disc_loss(self.model, batch)
+
+    def extra_arrays(self):
+        return {**super().extra_arrays(),
+                **self.queue.state_arrays("queue_")}
+
+    def load_extra(self, arrays):
+        super().load_extra(arrays)
+        self.queue.load_state(arrays, "queue_")
 
 
 class Deir(_QueueMethod):
@@ -197,38 +219,14 @@ class Deir(_QueueMethod):
 
     name = "DEIR"
 
-    def step(self, obs_next, actions, clean_next, dones):
-        e_obs, e_traj = self._embed_next(obs_next)
-        r = np.zeros(self.n_workers)
-        for w in range(self.n_workers):
-            r[w] = intrinsic_reward(
-                e_obs[w].astype(np.float32), self.h[w],
-                self.memories[w], bool(dones[w]),
-            )
-            update_queue(self.queue, clean_next[w].copy(),
-                         obs_next[w].copy(), r[w])
-        self._h_before = self.h
-        self.h = e_traj
-        return r
-
 
 class PlainNovelty(_QueueMethod):
     """Ablation: same discriminator, numerator-only bonus."""
 
     name = "PlainNovelty"
 
-    def step(self, obs_next, actions, clean_next, dones):
-        e_obs, e_traj = self._embed_next(obs_next)
-        r = np.zeros(self.n_workers)
-        for w in range(self.n_workers):
-            r[w] = novelty_reward(
-                e_obs[w].astype(np.float32), self.memories[w], bool(dones[w])
-            )
-            update_queue(self.queue, clean_next[w].copy(),
-                         obs_next[w].copy(), r[w])
-        self._h_before = self.h
-        self.h = e_traj
-        return r
+    def _bonus(self, e_obs, w, done):
+        return novelty_reward(e_obs, self.memories[w], done)
 
 
 class ForwardError(_RecurrentMethod):
@@ -236,137 +234,38 @@ class ForwardError(_RecurrentMethod):
 
     name = "ForwardError"
 
-    def __init__(self, n_workers, model: ForwardModel, lr, adam_eps,
-                 memory_capacity):
-        super().__init__(n_workers, model, lr, adam_eps, memory_capacity)
-        self.e_cur = np.zeros((n_workers, model.embed_dim), np.float32)
-
-    def start(self, obs):
-        super().start(obs)
+    def _rewards(self, e_obs, actions, obs_next, clean_next, dones):
         with no_grad():
-            e, _ = self.model.embed(Tensor(obs), Tensor(self.h))
-        self.e_cur = e.data.astype(np.float32)
-
-    def on_reset(self, w, net_obs):
-        super().on_reset(w, net_obs)
-        with no_grad():
-            e = self.model.encoder(Tensor(net_obs[None]))
-        self.e_cur[w] = e.data[0]
-
-    def step(self, obs_next, actions, clean_next, dones):
-        with no_grad():
-            e_obs, e_traj = self.model.embed(Tensor(obs_next), Tensor(self.h))
-            pred = self.model.predict(Tensor(self.e_cur), Tensor(_EYE7[actions]))
-        r = ((pred.data - e_obs.data) ** 2).sum(axis=-1)
-        self._h_before = self.h
-        self.h = e_traj.data.astype(np.float32)
-        self.e_cur = e_obs.data.astype(np.float32)
-        return r
-
-    def update(self, buffer, rng, epochs, minibatch):
-        pos = buffer.flat_positives()
-        n = pos["obs_t"].shape[0]
-        self.model.train()
-        total, count = 0.0, 0
-        for _ in range(epochs):
-            for idx in _minibatches(n, minibatch, rng):
-                batch = {k: pos[k][idx] for k in ("obs_t", "obs_next", "action")}
-                self.model.zero_grad()
-                loss = self.model.loss(batch)
-                loss.backward()
-                self.opt.step()
-                total += float(loss.data)
-                count += 1
-        self.model.eval()
-        return {"model_loss": total / max(count, 1)}
-
-    def extra_arrays(self):
-        out = super().extra_arrays()
-        out["e_cur"] = self.e_cur
-        return out
-
-    def load_extra(self, arrays, meta):
-        super().load_extra(arrays, meta)
-        self.e_cur = arrays["e_cur"].astype(np.float32)
+            return forward_error(self.model, self.e_cur, _ONE_HOT[actions],
+                                 e_obs)
 
 
 class InverseDriven(_RecurrentMethod):
     """Episodic novelty ratio on embeddings trained by action prediction."""
 
     name = "InverseDriven"
-
-    def step(self, obs_next, actions, clean_next, dones):
-        with no_grad():
-            e_obs, e_traj = self.model.embed(Tensor(obs_next), Tensor(self.h))
-        e_obs = e_obs.data
-        r = np.zeros(self.n_workers)
-        for w in range(self.n_workers):
-            r[w] = intrinsic_reward(
-                e_obs[w].astype(np.float32), self.h[w],
-                self.memories[w], bool(dones[w]),
-            )
-        self._h_before = self.h
-        self.h = e_traj.data.astype(np.float32)
-        return r
-
-    def update(self, buffer, rng, epochs, minibatch):
-        pos = buffer.flat_positives()
-        n = pos["obs_t"].shape[0]
-        self.model.train()
-        total, count = 0.0, 0
-        for _ in range(epochs):
-            for idx in _minibatches(n, minibatch, rng):
-                batch = {
-                    k: pos[k][idx]
-                    for k in ("obs_t", "obs_next", "action", "h_prev")
-                }
-                self.model.zero_grad()
-                loss = self.model.loss(batch)
-                loss.backward()
-                self.opt.step()
-                total += float(loss.data)
-                count += 1
-        self.model.eval()
-        return {"model_loss": total / max(count, 1)}
+    batch_keys = ("obs_t", "obs_next", "action", "h_prev")
 
 
-class Rnd(NoIntrinsic):
+class Rnd(_ModelMethod):
     """Random network distillation: predictor-vs-frozen-target gap."""
 
     name = "RND"
-    hidden_dim = 1
+    batch_keys = ("obs_next",)
 
     def __init__(self, n_workers, model: RndModel, lr, adam_eps):
-        self.n_workers = n_workers
-        self.model = model
-        self.opt = Adam(model.predictor.parameters(), lr=lr, eps=adam_eps)
-        self.model.eval()
+        super().__init__(n_workers, model, lr, adam_eps,
+                         params=model.predictor.parameters())
 
     def step(self, obs_next, actions, clean_next, dones):
         with no_grad():
             return self.model.bonus(obs_next)
 
-    def update(self, buffer, rng, epochs, minibatch):
-        pos = buffer.flat_positives()
-        n = pos["obs_t"].shape[0]
-        self.model.train()
-        total, count = 0.0, 0
-        for _ in range(epochs):
-            for idx in _minibatches(n, minibatch, rng):
-                self.model.zero_grad()
-                loss = self.model.loss({"obs_next": pos["obs_next"][idx]})
-                loss.backward()
-                self.opt.step()
-                total += float(loss.data)
-                count += 1
-        self.model.eval()
-        return {"model_loss": total / max(count, 1)}
 
-    def modules(self):
-        return {"bonus_model": self.model}
-
-    def optimizers(self):
-        return {"bonus_opt": self.opt}
+_EMBEDDING_METHODS = {"DEIR": (Deir, DiscModel),
+                      "PlainNovelty": (PlainNovelty, DiscModel),
+                      "ForwardError": (ForwardError, ForwardModel),
+                      "InverseDriven": (InverseDriven, InverseModel)}
 
 
 def make_method(name, n_workers, view_size, n_actions, rng, embed_dim,
@@ -378,24 +277,11 @@ def make_method(name, n_workers, view_size, n_actions, rng, embed_dim,
         return Rnd(n_workers,
                    RndModel(view_size, rng, embed_dim, channels),
                    lr, adam_eps)
-    if name in ("DEIR", "PlainNovelty"):
-        model = DiscModel(view_size, n_actions, rng, embed_dim, hidden,
-                          channels, norm)
-        cls = Deir if name == "DEIR" else PlainNovelty
-        return cls(n_workers, model, lr, adam_eps, memory_capacity,
-                   queue_size, queue_smoothing)
-    if name == "ForwardError":
-        return ForwardError(
-            n_workers,
-            ForwardModel(view_size, n_actions, rng, embed_dim, hidden,
-                         channels, norm),
-            lr, adam_eps, memory_capacity,
-        )
-    if name == "InverseDriven":
-        return InverseDriven(
-            n_workers,
-            InverseModel(view_size, n_actions, rng, embed_dim, hidden,
-                         channels, norm),
-            lr, adam_eps, memory_capacity,
-        )
-    raise ValueError(f"unknown method {name!r}")
+    if name not in _EMBEDDING_METHODS:
+        raise ValueError(f"unknown method {name!r}")
+    cls, model_cls = _EMBEDDING_METHODS[name]
+    model = model_cls(view_size, n_actions, rng, embed_dim, hidden, channels,
+                      norm)
+    queue = ((queue_size, queue_smoothing)
+             if issubclass(cls, _QueueMethod) else ())
+    return cls(n_workers, model, lr, adam_eps, memory_capacity, *queue)

@@ -4,6 +4,7 @@ from .layers import (
     CnnEncoder,
     Conv2d,
     Dense,
+    EmbeddingModel,
     GruCell,
     LayerNorm,
     Mlp,
@@ -21,6 +22,7 @@ __all__ = [
     "CnnEncoder",
     "Conv2d",
     "Dense",
+    "EmbeddingModel",
     "GraphError",
     "GruCell",
     "LayerNorm",

@@ -294,3 +294,36 @@ class CnnEncoder(Module):
         if fc_norm is not None:
             x = fc_norm(x)
         return x.relu()
+
+
+class EmbeddingModel(Module):
+    """CNN encoder feeding a GRU trajectory embedding, plus the heads a
+    subclass builds in `_heads`.
+
+    The encoder is built first, then the GRU, then the heads, so every
+    subclass draws its initial weights from `rng` in that order.
+    """
+
+    def __init__(self, view_size, n_actions, rng, embed_dim=64, hidden=128,
+                 channels=(32, 64, 64), norm="batch"):
+        super().__init__()
+        self.n_actions = n_actions
+        self.embed_dim = embed_dim
+        self.encoder = CnnEncoder(view_size, embed_dim, rng,
+                                  norm=norm, channels=channels)
+        self.gru = GruCell(embed_dim, embed_dim, rng)
+        self._heads(hidden, rng, norm)
+
+    def _heads(self, hidden, rng, norm):
+        raise NotImplementedError
+
+    def embed(self, obs: Tensor, h_prev: Tensor):
+        """(e_obs, e_traj): e_traj doubles as the next GRU hidden state."""
+        e_obs = self.encoder(obs)
+        return e_obs, self.gru(e_obs, h_prev)
+
+    def embed_pair(self, obs_t: Tensor, obs_x: Tensor, h_prev: Tensor):
+        """Trajectory embeddings after o_t, and after o_x following o_t."""
+        _, traj_t = self.embed(obs_t, h_prev)
+        _, traj_x = self.embed(obs_x, traj_t)
+        return traj_t, traj_x

@@ -11,9 +11,10 @@ import numpy as np
 MAGIC = b"GXTB"
 
 # dtype code -> (numpy dtype string, bytes per element); float64 is kept
-# so optimizer moments and running statistics survive a round trip bit-exact
-_DTYPES = {0: ("<f4", 4), 1: ("<f8", 8)}
-_CODES = {"<f4": 0, "<f8": 1}
+# so optimizer moments and running statistics survive a round trip
+# bit-exact, uint8 so grid planes and integer observations stay 1 byte
+_DTYPES = {0: ("<f4", 4), 1: ("<f8", 8), 2: ("|u1", 1)}
+_CODES = {"<f4": 0, "<f8": 1, "|u1": 2}
 
 
 class BlobError(Exception):

@@ -8,11 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .envs import N_ACTIONS
 from .nn import (
-    CnnEncoder,
-    GruCell,
+    EmbeddingModel,
     Mlp,
-    Module,
     Tensor,
     clip_grad_norm,
     concat,
@@ -24,24 +23,18 @@ class BufferError(Exception):
     pass
 
 
-class ActorCritic(Module):
+class ActorCritic(EmbeddingModel):
     """CNN -> GRU -> separate policy and value MLP heads."""
 
-    def __init__(self, view_size, n_actions, rng, embed_dim=64, hidden=128,
-                 channels=(32, 64, 64), norm="batch"):
-        super().__init__()
-        self.n_actions = n_actions
-        self.embed_dim = embed_dim
-        self.encoder = CnnEncoder(view_size, embed_dim, rng,
-                                  norm=norm, channels=channels)
-        self.gru = GruCell(embed_dim, embed_dim, rng)
-        self.policy = Mlp([embed_dim, hidden, n_actions], rng,
+    def _heads(self, hidden, rng, norm):
+        self.policy = Mlp([self.embed_dim, hidden, self.n_actions], rng,
                           norm=norm, out_gain=0.01)
-        self.value = Mlp([embed_dim, hidden, 1], rng, norm=norm, out_gain=1.0)
+        self.value = Mlp([self.embed_dim, hidden, 1], rng, norm=norm,
+                         out_gain=1.0)
 
     def act(self, obs: Tensor, h: Tensor):
         """(logits, value, next_hidden) for a batch of workers."""
-        traj = self.gru(self.encoder(obs), h)
+        _, traj = self.embed(obs, h)
         return self.policy(traj), self.value(traj), traj
 
 
@@ -91,7 +84,7 @@ class RolloutBuffer:
     def flat_positives(self):
         """Aligned flat views used for bonus-model training batches."""
         n = self.n_steps * self.n_workers
-        eye = np.eye(7, dtype=np.float32)
+        eye = np.eye(N_ACTIONS, dtype=np.float32)
         return {
             "obs_t": self.obs.reshape((n,) + self.obs.shape[2:]),
             "obs_next": self.obs_next.reshape((n,) + self.obs.shape[2:]),

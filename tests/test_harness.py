@@ -1,6 +1,7 @@
 """Experiment harness: metrics, config parsing, CSV output, checkpoints,
 the training loop's determinism/resume contract, and embedding probes."""
 import dataclasses
+import hashlib
 import os
 
 import numpy as np
@@ -30,6 +31,7 @@ from gridexplore.harness.config import config_lines
 from gridexplore.harness.outputs import OutputError
 from gridexplore.harness.probes import embed_dataset
 from gridexplore.intrinsic import DiscModel
+from gridexplore.methods import METHODS
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +403,11 @@ def test_trainer_rerun_bit_identical():
     assert _tuples(rows_1[:1]) == _tuples(rows_a)
 
 
-def test_trainer_resume_reproduces_next_rows(tmp_path):
-    cfg = _tiny_config()
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+@pytest.mark.parametrize("method", METHODS)
+def test_trainer_resume_reproduces_next_rows(tmp_path, method, sigma):
+    # a 16-row queue wraps before the save, so the ring's order is tested
+    cfg = _tiny_config(method=method, noise_sigma=sigma, queue_size=16)
     ref = Trainer(cfg, 1)
     ref_rows = [ref.train_iteration() for _ in range(5)]
 
@@ -417,6 +422,37 @@ def test_trainer_resume_reproduces_next_rows(tmp_path):
     assert _tuples(rows) == _tuples(ref_rows[2:])
 
 
+# sha256 of the CSV a tiny noisy run writes after 2 iterations, per method
+_TRAINING_DIGESTS = {
+    "DEIR": "e19ceb08b61b85629a098ecc0735b0707dd9c2480102475eba8496529760914b",
+    "PlainNovelty":
+        "7566213b078cec29f1dd5645fe70b8e45f58af82acf07dcb7a018370dd6fe3f2",
+    "ForwardError":
+        "19b1fcdab653c08401fb498fac22ff7e645cb502adcb83443ddd98fdbc8a887b",
+    "InverseDriven":
+        "93cdd37c6dcafb560fd8954e6f884e253a0ccb3f6106e7bb9687424c01760383",
+    "RND": "7938964e2ca5fbeb91871124baba6b4c1016e7c5f16f00a0a107cee92d1d9851",
+    "NoIntrinsic":
+        "d3909df0b75eb7d9cb9d94265f08090608416b8b45d6e5de25006fcc7e325cbd",
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_training_digest_is_pinned(tmp_path, method):
+    t = Trainer(_tiny_config(method=method, noise_sigma=0.1), 1)
+    rows = [t.train_iteration() for _ in range(2)]
+    path = str(tmp_path / "seed1.csv")
+    write_csv(path, rows)
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == _TRAINING_DIGESTS[method], (
+        f"{method}'s training numerics changed. If the change is deliberate, "
+        "update the digest here; the cached 1M-frame runs under "
+        "tests/acceptance_runs/ are then stale and must be re-run "
+        "(ROADMAP item 5)."
+    )
+
+
 def test_trainer_load_rejects_config_and_seed_mismatch(tmp_path):
     cfg = _tiny_config()
     t = Trainer(cfg, 1)
@@ -427,6 +463,17 @@ def test_trainer_load_rejects_config_and_seed_mismatch(tmp_path):
         Trainer(cfg, 2).load(path)
     with pytest.raises(CheckpointError):
         Trainer(_tiny_config(method="RND"), 1).load(path)
+
+
+def test_trainer_load_rejects_environment_shape_mismatch(tmp_path):
+    t = Trainer(_tiny_config(), 1)
+    path = str(tmp_path / "run.ckpt")
+    t.save(path)
+    meta, arrays = load_checkpoint(path)
+    meta["envs"][0]["width"] += 1
+    save_checkpoint(path, meta, arrays)
+    with pytest.raises(CheckpointError, match="shape mismatch"):
+        Trainer(_tiny_config(), 1).load(path)
 
 
 def test_trainer_metric_rows_monotone_frames():

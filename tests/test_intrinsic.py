@@ -126,6 +126,24 @@ def test_queue_never_exceeds_max_size():
     assert len(q) <= 5
 
 
+def test_queue_state_round_trip_after_wrap():
+    q = ObservationQueue(max_size=4)
+    for i in range(6):
+        update_queue(q, *_obs(i), r_i=100.0)
+    arrays = q.state_arrays("q.")
+    assert arrays["q.obs"].dtype == np.uint8
+    assert arrays["q.net"].dtype == np.float32
+    assert [int(o[0, 0]) for o in arrays["q.obs"]] == [2, 3, 4, 5]
+    back = ObservationQueue(max_size=4)
+    back.load_state(arrays, "q.")
+    assert back.running_avg == q.running_avg
+    for i in (6, 7, 8):  # both go on evicting in the same order
+        update_queue(q, *_obs(i), r_i=100.0)
+        update_queue(back, *_obs(i), r_i=100.0)
+        assert [int(q[k][0][0, 0]) for k in range(4)] == \
+            [int(back[k][0][0, 0]) for k in range(4)]
+
+
 def test_sample_negative_skips_true_next():
     q = ObservationQueue(max_size=4)
     clean, net = _obs(1)

@@ -91,6 +91,7 @@ def test_blob_roundtrip_is_byte_identical():
         "enc.w": np.arange(12, dtype=np.float32).reshape(3, 4),
         "enc.b": np.array([1.5], dtype=np.float32),
         "scalar": np.array(2.0, dtype=np.float32),
+        "planes": np.array([[0, 7], [255, 1]], dtype=np.uint8),
     }
     blob = pack_arrays(arrays)
     assert pack_arrays(unpack_arrays(blob)) == blob
@@ -98,6 +99,7 @@ def test_blob_roundtrip_is_byte_identical():
     for k, v in arrays.items():
         assert np.array_equal(back[k], v)
         assert back[k].shape == v.shape
+        assert back[k].dtype == v.dtype
 
 
 def test_blob_bad_magic_raises():
