@@ -91,6 +91,3 @@ class Env:
         w.max_steps = meta["max_steps"]
         self._layout_rng.bit_generator.state = meta["layout_rng"]
         self._noise_rng.bit_generator.state = meta["noise_rng"]
-
-    def render(self) -> str:
-        return core.render_ascii(self.world)

@@ -14,9 +14,10 @@ from collections import deque
 from .core import DIR_VEC, Action, Dir, DoorState, GridWorld, Obj
 
 _TURNS = (Action.TURN_LEFT, Action.TURN_RIGHT)
+MAX_NODES = 500_000  # search budget; past it the world counts as unsolved
 
 
-def solve(world: GridWorld, max_nodes: int = 500_000):
+def solve(world: GridWorld):
     """Shortest action sequence from world's current state to its goal.
 
     Returns None when the goal is unreachable (or the node budget runs
@@ -102,6 +103,6 @@ def solve(world: GridWorld, max_nodes: int = 500_000):
                 parent[ns] = (s, a)
                 frontier.append(ns)
                 nodes += 1
-                if nodes > max_nodes:
+                if nodes > MAX_NODES:
                     return None
     return None

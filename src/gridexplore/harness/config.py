@@ -1,14 +1,16 @@
 """Flat key/value experiment configuration.
 
 Files are UTF-8 text, one `key = value` pair per line, `#` comments.
-Keys are namespaced env.* / ppo.* / deir.* / run.*; command-line
-overrides use the same `key=value` form. Unknown keys are rejected.
+Keys are namespaced env.* / ppo.* / deir.* / run.*; each
+`ExperimentConfig` field declares its key, and its annotation picks the
+parser. Command-line overrides use the same `key=value` form. Unknown
+keys are rejected.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from ..envs import TASKS, EnvSpec
+from ..envs import EnvSpec
 from ..methods import METHODS
 
 
@@ -29,51 +31,53 @@ def _parse_ints(text):
     return tuple(int(p) for p in str(text).replace(",", " ").split())
 
 
+def _key(key, default):
+    """A field read from and written to config files as `key`."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass
 class ExperimentConfig:
-    # env.*
-    task: str = "MultiRoomN2S4"
-    view_size: int = 7
-    noise_mu: float = 0.0
-    noise_sigma: float = 0.0
-    invisible_obstacles: bool = False
-    max_steps: int = 0  # 0 -> task default
-    time_penalty_coef: float = 0.9
-    # ppo.*
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    rollout_steps: int = 512
-    workers: int = 16
-    clip: float = 0.2
-    ppo_epochs: int = 4
-    minibatch: int = 512
-    entropy_coef: float = 1e-2
-    value_coef: float = 0.5
-    max_grad_norm: float = 0.5
-    adv_momentum: float = 0.9
-    lr: float = 3e-4
-    adam_eps: float = 1e-5
-    bptt_len: int = 16
-    embed_dim: int = 64
-    hidden: int = 128
-    channels: tuple = (32, 64, 64)
-    norm: str = "batch"
-    # deir.*
-    method_lr: float = 3e-4
-    beta: float = 1e-2
-    ext_coef: float = 1.0
-    ir_momentum: float = 0.9
-    queue_size: int = 100_000
-    queue_smoothing: float = 0.9
-    model_epochs: int = 4
-    model_minibatch: int = 512
-    # run.*
-    method: str = "DEIR"
-    frames: int = 1_000_000
-    seeds: tuple = (0, 1, 2)
-    out: str = "runs"
-    checkpoint_every: int = 0  # rollouts between checkpoints; 0 = only final
-    log_every: int = 1
+    task: str = _key("env.task", "MultiRoomN2S4")
+    view_size: int = _key("env.view_size", 7)
+    noise_mu: float = _key("env.noise_mu", 0.0)
+    noise_sigma: float = _key("env.noise_sigma", 0.0)
+    invisible_obstacles: bool = _key("env.invisible_obstacles", False)
+    max_steps: int = _key("env.max_steps", 0)  # 0 -> task default
+    time_penalty_coef: float = _key("env.time_penalty_coef", 0.9)
+    gamma: float = _key("ppo.gamma", 0.99)
+    gae_lambda: float = _key("ppo.gae_lambda", 0.95)
+    rollout_steps: int = _key("ppo.rollout_steps", 512)
+    workers: int = _key("ppo.workers", 16)
+    clip: float = _key("ppo.clip", 0.2)
+    ppo_epochs: int = _key("ppo.epochs", 4)
+    minibatch: int = _key("ppo.minibatch", 512)
+    entropy_coef: float = _key("ppo.entropy_coef", 1e-2)
+    value_coef: float = _key("ppo.value_coef", 0.5)
+    max_grad_norm: float = _key("ppo.max_grad_norm", 0.5)
+    adv_momentum: float = _key("ppo.adv_momentum", 0.9)
+    lr: float = _key("ppo.lr", 3e-4)
+    adam_eps: float = _key("ppo.adam_eps", 1e-5)
+    bptt_len: int = _key("ppo.bptt_len", 16)
+    embed_dim: int = _key("ppo.embed_dim", 64)
+    hidden: int = _key("ppo.hidden", 128)
+    channels: tuple = _key("ppo.channels", (32, 64, 64))
+    norm: str = _key("ppo.norm", "batch")
+    method_lr: float = _key("deir.lr", 3e-4)
+    beta: float = _key("deir.beta", 1e-2)
+    ext_coef: float = _key("deir.ext_coef", 1.0)
+    ir_momentum: float = _key("deir.ir_momentum", 0.9)
+    queue_size: int = _key("deir.queue_size", 100_000)
+    queue_smoothing: float = _key("deir.queue_smoothing", 0.9)
+    model_epochs: int = _key("deir.model_epochs", 4)
+    model_minibatch: int = _key("deir.model_minibatch", 512)
+    method: str = _key("run.method", "DEIR")
+    frames: int = _key("run.frames", 1_000_000)
+    seeds: tuple = _key("run.seeds", (0, 1, 2))
+    out: str = _key("run.out", "runs")
+    # rollouts between checkpoints; 0 = only final
+    checkpoint_every: int = _key("run.checkpoint_every", 0)
+    log_every: int = _key("run.log_every", 1)
 
     def env_spec(self) -> EnvSpec:
         return EnvSpec(
@@ -87,11 +91,12 @@ class ExperimentConfig:
         )
 
     def validate(self):
-        if self.task not in TASKS:
-            raise ConfigError(f"unknown task {self.task!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        self.env_spec()  # re-run env-side validation
+        try:
+            self.env_spec()  # re-run env-side validation
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         positive = ("rollout_steps", "workers", "minibatch", "ppo_epochs",
                     "model_epochs", "model_minibatch", "bptt_len",
                     "embed_dim", "hidden", "frames", "queue_size")
@@ -112,48 +117,11 @@ class ExperimentConfig:
         return self
 
 
-# config-file key -> (dataclass field, parser)
-_KEYS = {
-    "env.task": ("task", str),
-    "env.view_size": ("view_size", int),
-    "env.noise_mu": ("noise_mu", float),
-    "env.noise_sigma": ("noise_sigma", float),
-    "env.invisible_obstacles": ("invisible_obstacles", _parse_bool),
-    "env.max_steps": ("max_steps", int),
-    "env.time_penalty_coef": ("time_penalty_coef", float),
-    "ppo.gamma": ("gamma", float),
-    "ppo.gae_lambda": ("gae_lambda", float),
-    "ppo.rollout_steps": ("rollout_steps", int),
-    "ppo.workers": ("workers", int),
-    "ppo.clip": ("clip", float),
-    "ppo.epochs": ("ppo_epochs", int),
-    "ppo.minibatch": ("minibatch", int),
-    "ppo.entropy_coef": ("entropy_coef", float),
-    "ppo.value_coef": ("value_coef", float),
-    "ppo.max_grad_norm": ("max_grad_norm", float),
-    "ppo.adv_momentum": ("adv_momentum", float),
-    "ppo.lr": ("lr", float),
-    "ppo.adam_eps": ("adam_eps", float),
-    "ppo.bptt_len": ("bptt_len", int),
-    "ppo.embed_dim": ("embed_dim", int),
-    "ppo.hidden": ("hidden", int),
-    "ppo.channels": ("channels", _parse_ints),
-    "ppo.norm": ("norm", str),
-    "deir.lr": ("method_lr", float),
-    "deir.beta": ("beta", float),
-    "deir.ext_coef": ("ext_coef", float),
-    "deir.ir_momentum": ("ir_momentum", float),
-    "deir.queue_size": ("queue_size", int),
-    "deir.queue_smoothing": ("queue_smoothing", float),
-    "deir.model_epochs": ("model_epochs", int),
-    "deir.model_minibatch": ("model_minibatch", int),
-    "run.method": ("method", str),
-    "run.frames": ("frames", int),
-    "run.seeds": ("seeds", _parse_ints),
-    "run.out": ("out", str),
-    "run.checkpoint_every": ("checkpoint_every", int),
-    "run.log_every": ("log_every", int),
-}
+# config-file key -> (dataclass field, parser from its annotation)
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
+            "tuple": _parse_ints}
+_KEYS = {f.metadata["key"]: (f.name, _PARSERS[f.type])
+         for f in fields(ExperimentConfig)}
 
 
 def parse_overrides(pairs):
@@ -198,11 +166,10 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
 
 def config_lines(cfg: ExperimentConfig):
     """Render a config back to its flat key/value text form."""
-    back = {name: key for key, (name, _) in _KEYS.items()}
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
-        lines.append(f"{back[f.name]} = {value}")
+        lines.append(f"{f.metadata['key']} = {value}")
     return lines

@@ -23,6 +23,10 @@ PROBE_TASKS = (
 )
 
 MIN_DATASET = 200
+DETOUR_PROB = 0.35  # chance per step that the scripted agent leaves its plan
+HEAD_HIDDEN = 32
+HEAD_MINIBATCH = 256
+HEAD_LR = 1e-3
 
 
 class ProbeError(Exception):
@@ -69,7 +73,7 @@ def _labels(world):
     ]
 
 
-def collect_probe_dataset(spec, seed, episodes=40, detour_prob=0.35):
+def collect_probe_dataset(spec, seed, episodes=40):
     """Scripted rollouts -> list of (obs_seq, label_seq) per episode."""
     env = Env(spec, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 77]))
@@ -78,9 +82,8 @@ def collect_probe_dataset(spec, seed, episodes=40, detour_prob=0.35):
         res = env.reset()
         obs_seq, label_seq = [], []
         plan = solve(env.world) or []
-        step_i = 0
         while not res.done:
-            if plan and rng.random() >= detour_prob:
+            if plan and rng.random() >= DETOUR_PROB:
                 action = plan.pop(0)
             else:
                 action = Action(int(rng.integers(N_ACTIONS)))
@@ -90,7 +93,6 @@ def collect_probe_dataset(spec, seed, episodes=40, detour_prob=0.35):
             label_seq.append(_labels(env.world))
             if not plan and not res.done:
                 plan = solve(env.world) or []
-            step_i += 1
         data.append((np.stack(obs_seq), np.array(label_seq, dtype=np.float64)))
     return data
 
@@ -109,8 +111,7 @@ def embed_dataset(model, data):
     return np.stack(xs), np.concatenate(ys)
 
 
-def probe_embeddings(embeddings, labels, rng, hidden=32, epochs=40,
-                     minibatch=256, lr=1e-3):
+def probe_embeddings(embeddings, labels, rng, epochs=40):
     """Train one head per probe task; return task -> validation loss."""
     n = embeddings.shape[0]
     if n < MIN_DATASET:
@@ -120,12 +121,12 @@ def probe_embeddings(embeddings, labels, rng, hidden=32, epochs=40,
     train_idx, val_idx = order[:split], order[split:]
     results = {}
     for task_i, (name, kind) in enumerate(PROBE_TASKS):
-        head = Mlp([embeddings.shape[1], hidden, 1], rng, norm="none")
-        opt = Adam(head.parameters(), lr=lr)
+        head = Mlp([embeddings.shape[1], HEAD_HIDDEN, 1], rng, norm="none")
+        opt = Adam(head.parameters(), lr=HEAD_LR)
         y = labels[:, task_i]
         for _ in range(epochs):
-            for start in range(0, len(train_idx), minibatch):
-                idx = train_idx[start : start + minibatch]
+            for start in range(0, len(train_idx), HEAD_MINIBATCH):
+                idx = train_idx[start : start + HEAD_MINIBATCH]
                 if len(idx) < 2:
                     continue
                 head.zero_grad()

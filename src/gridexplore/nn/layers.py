@@ -8,15 +8,16 @@ from .tensor import GraphError, Tensor, concat
 EPS_NORM = 1e-8  # sigma floor shared by both normalization modes
 
 
-def orthogonal(rng: np.random.Generator, shape, gain=1.0, dtype=np.float32):
+def orthogonal(rng: np.random.Generator, shape, gain=1.0):
     a = rng.standard_normal(shape)
     if a.ndim < 2:
-        return (gain * a).astype(dtype)
+        return (gain * a).astype(np.float32)
     q, r = np.linalg.qr(a if shape[0] >= shape[1] else a.T)
     q = q * np.sign(np.diag(r))
     if shape[0] < shape[1]:
         q = q.T
-    return np.ascontiguousarray(gain * q[: shape[0], : shape[1]], dtype=dtype)
+    return np.ascontiguousarray(gain * q[: shape[0], : shape[1]],
+                                dtype=np.float32)
 
 
 class Module:
@@ -96,16 +97,16 @@ class Dense(Module):
 
 
 class Conv2d(Module):
-    """NHWC convolution via explicit window slices and one matmul."""
+    """NHWC stride-1 convolution via explicit window slices and one matmul."""
 
-    def __init__(self, in_ch, out_ch, kernel, rng, stride=1, pad=0, gain=np.sqrt(2)):
+    def __init__(self, in_ch, out_ch, kernel, rng, pad=0):
         super().__init__()
         self.kernel = kernel
-        self.stride = stride
         self.pad = pad
         self.in_ch = in_ch
         self.out_ch = out_ch
-        self.w = Tensor(orthogonal(rng, (kernel * kernel * in_ch, out_ch), gain))
+        self.w = Tensor(orthogonal(rng, (kernel * kernel * in_ch, out_ch),
+                                   np.sqrt(2)))
         self.b = Tensor(np.zeros(out_ch, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -114,30 +115,34 @@ class Conv2d(Module):
         if self.pad:
             x = x.pad2d(self.pad)
         n, h, w, _ = x.shape
-        k, s = self.kernel, self.stride
-        oh = (h - k) // s + 1
-        ow = (w - k) // s + 1
+        k = self.kernel
+        oh, ow = h - k + 1, w - k + 1
         cols = concat(
-            [
-                x[:, i : i + (oh - 1) * s + 1 : s, j : j + (ow - 1) * s + 1 : s, :]
-                for i in range(k)
-                for j in range(k)
-            ],
+            [x[:, i : i + oh, j : j + ow, :] for i in range(k) for j in range(k)],
             axis=-1,
         )
         out = cols.reshape(n * oh * ow, k * k * self.in_ch) @ self.w + self.b
         return out.reshape(n, oh, ow, self.out_ch)
 
 
-class BatchNorm(Module):
-    """Per-feature standardization over all leading axes, with running stats."""
+class _Norm(Module):
+    """Learned per-feature scale `gamma` and shift `beta`."""
 
-    def __init__(self, num_features, momentum=0.9, eps=EPS_NORM):
+    eps = EPS_NORM
+
+    def __init__(self, num_features):
         super().__init__()
         self.gamma = Tensor(np.ones(num_features, dtype=np.float32))
         self.beta = Tensor(np.zeros(num_features, dtype=np.float32))
-        self.momentum = momentum
-        self.eps = eps
+
+
+class BatchNorm(_Norm):
+    """Per-feature standardization over all leading axes, with running stats."""
+
+    momentum = 0.9  # running-stat decay
+
+    def __init__(self, num_features):
+        super().__init__(num_features)
         self.running_mean = np.zeros(num_features, dtype=np.float64)
         self.running_var = np.ones(num_features, dtype=np.float64)
 
@@ -164,18 +169,19 @@ class BatchNorm(Module):
         return y * self.gamma + self.beta
 
 
-class LayerNorm(Module):
-    def __init__(self, num_features, eps=EPS_NORM):
-        super().__init__()
-        self.gamma = Tensor(np.ones(num_features, dtype=np.float32))
-        self.beta = Tensor(np.zeros(num_features, dtype=np.float32))
-        self.eps = eps
-
+class LayerNorm(_Norm):
     def __call__(self, x: Tensor) -> Tensor:
         mu = x.mean(axis=-1, keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=-1, keepdims=True)
         return (centered / (var + self.eps).sqrt()) * self.gamma + self.beta
+
+
+class Identity(Module):
+    """The `none` normalization: no parameters, returns its input."""
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return x
 
 
 def make_norm(mode: str, num_features):
@@ -184,7 +190,7 @@ def make_norm(mode: str, num_features):
     if mode == "layer":
         return LayerNorm(num_features)
     if mode == "none":
-        return None
+        return Identity()
     raise ValueError(f"unknown normalization mode {mode!r}")
 
 
@@ -232,68 +238,47 @@ class Mlp(Module):
             setattr(self, f"fc{i}", Dense(sizes[i], sizes[i + 1], rng,
                                           gain=out_gain if last else np.sqrt(2)))
             if not last:
-                layer_norm = make_norm(norm, sizes[i + 1])
-                if layer_norm is not None:
-                    setattr(self, f"norm{i}", layer_norm)
+                setattr(self, f"norm{i}", make_norm(norm, sizes[i + 1]))
 
     def __call__(self, x: Tensor) -> Tensor:
         for i in range(self.n_layers):
             x = getattr(self, f"fc{i}")(x)
             if i < self.n_layers - 1:
-                norm = getattr(self, f"norm{i}", None)
-                if norm is not None:
-                    x = norm(x)
-                x = x.relu()
+                x = getattr(self, f"norm{i}")(x).relu()
         return x
 
 
 class CnnEncoder(Module):
-    """Three 2x2 stride-1 convs plus a dense projection to the embedding.
+    """Input norm, three 2x2 stride-1 convs and a dense projection to the
+    embedding, over 3-channel (object, color, state) observations.
 
     View-3 inputs get 1 cell of zero padding on the first conv so the
     spatial extent survives three kernel shrinks.
     """
 
     def __init__(self, view_size, embed_dim, rng, norm="batch",
-                 channels=(32, 64, 64), in_ch=3, normalize_input=True):
+                 channels=(32, 64, 64)):
         super().__init__()
         pad = 1 if view_size == 3 else 0
         self.view_size = view_size
-        if normalize_input:
-            in_norm = make_norm(norm, in_ch)
-            if in_norm is not None:
-                self.in_norm = in_norm
+        self.in_norm = make_norm(norm, 3)
         c1, c2, c3 = channels
-        self.conv0 = Conv2d(in_ch, c1, 2, rng, pad=pad)
+        self.conv0 = Conv2d(3, c1, 2, rng, pad=pad)
         self.conv1 = Conv2d(c1, c2, 2, rng)
         self.conv2 = Conv2d(c2, c3, 2, rng)
         side = (view_size + 2 * pad) - 3
         self.flat_dim = side * side * c3
         self.fc = Dense(self.flat_dim, embed_dim, rng)
-        for i, ch in enumerate((c1, c2, c3)):
-            conv_norm = make_norm(norm, ch)
-            if conv_norm is not None:
-                setattr(self, f"norm{i}", conv_norm)
-        fc_norm = make_norm(norm, embed_dim)
-        if fc_norm is not None:
-            self.fc_norm = fc_norm
+        for i, ch in enumerate(channels):
+            setattr(self, f"norm{i}", make_norm(norm, ch))
+        self.fc_norm = make_norm(norm, embed_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        norm = getattr(self, "in_norm", None)
-        if norm is not None:
-            x = norm(x)
+        x = self.in_norm(x)
         for i in range(3):
-            x = getattr(self, f"conv{i}")(x)
-            layer_norm = getattr(self, f"norm{i}", None)
-            if layer_norm is not None:
-                x = layer_norm(x)
-            x = x.relu()
+            x = getattr(self, f"norm{i}")(getattr(self, f"conv{i}")(x)).relu()
         x = x.reshape(x.shape[0], self.flat_dim)
-        x = self.fc(x)
-        fc_norm = getattr(self, "fc_norm", None)
-        if fc_norm is not None:
-            x = fc_norm(x)
-        return x.relu()
+        return self.fc_norm(self.fc(x)).relu()
 
 
 class EmbeddingModel(Module):

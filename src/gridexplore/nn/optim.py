@@ -7,12 +7,11 @@ from .tensor import Tensor
 
 
 class Adam:
-    def __init__(self, params: list[Tensor], lr=3e-4, beta1=0.9, beta2=0.999,
-                 eps=1e-5):
+    beta1, beta2 = 0.9, 0.999  # moment decay rates
+
+    def __init__(self, params: list[Tensor], lr=3e-4, eps=1e-5):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
         self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]

@@ -253,14 +253,6 @@ class Tensor:
 
         return self._make(self.data.reshape(shape), (self,), backward)
 
-    def transpose(self, axes):
-        inv = np.argsort(axes)
-
-        def backward(out):
-            self._accum(out.grad.transpose(inv))
-
-        return self._make(self.data.transpose(axes), (self,), backward)
-
     def __getitem__(self, idx):
         out_data = self.data[idx]
 

@@ -166,31 +166,33 @@ def ppo_update(model, optimizer, buffer: RolloutBuffer, rng, clip=0.2,
     T, W = buffer.n_steps, buffer.n_workers
     if T % bptt_len:
         raise ValueError("n_steps must be divisible by bptt_len")
-    segs = [(w, t0) for w in range(W) for t0 in range(0, T, bptt_len)]
-    per_mb = max(1, minibatch // bptt_len)
+    L = bptt_len
+    n_seg = T // L  # segments per worker
+
+    def cut(arr):
+        """(T, W, ...) -> (n_seg, L, W, ...) view. Segments are numbered
+        worker-major: segment i is [i % n_seg, :, i // n_seg]."""
+        return arr.reshape((n_seg, L) + arr.shape[1:])
+
+    obs_s, done_s = cut(buffer.obs), cut(buffer.dones)
+    h0_s = buffer.policy_h[::L]
+    flat_s = [cut(a) for a in (buffer.actions, buffer.log_probs,
+                               buffer.advantages, buffer.returns)]
+    per_mb = max(1, minibatch // L)
     stats = {k: 0.0 for k in ("policy_loss", "value_loss", "entropy",
                               "clip_fraction", "approx_kl")}
     n_updates = 0
     model.train()
     for _ in range(epochs):
-        order = rng.permutation(len(segs))
-        for start in range(0, len(segs), per_mb):
-            chosen = [segs[i] for i in order[start : start + per_mb]]
-            L = bptt_len
-            obs = np.stack([buffer.obs[t0 : t0 + L, w] for w, t0 in chosen])
-            h0 = np.stack([buffer.policy_h[t0, w] for w, t0 in chosen])
-            done_prev = np.stack(
-                [buffer.dones[t0 : t0 + L, w] for w, t0 in chosen]
-            )
-
-            def tmaj(arr):
-                sel = np.stack([arr[t0 : t0 + L, w] for w, t0 in chosen])
-                return sel.T.reshape(-1)  # (B, L) -> time-major flat
-
-            actions = tmaj(buffer.actions)
-            logp_old = tmaj(buffer.log_probs)
-            adv = tmaj(buffer.advantages)
-            ret = tmaj(buffer.returns)
+        order = rng.permutation(W * n_seg)
+        for start in range(0, len(order), per_mb):
+            chosen = order[start : start + per_mb]
+            seg, w = chosen % n_seg, chosen // n_seg
+            obs, done_prev = obs_s[seg, :, w], done_s[seg, :, w]
+            h0 = h0_s[seg, w]
+            # (B, L) -> time-major flat
+            actions, logp_old, adv, ret = (a[seg, :, w].T.reshape(-1)
+                                           for a in flat_s)
 
             traj = _segment_forward(model, obs, h0, done_prev)
             logits = model.policy(traj)

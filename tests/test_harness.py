@@ -1,6 +1,7 @@
 """Experiment harness: metrics, config parsing, CSV output, checkpoints,
 the training loop's determinism/resume contract, and embedding probes."""
 import dataclasses
+import glob
 import hashlib
 import os
 
@@ -219,6 +220,15 @@ def test_validate_rejects_unknown_task_and_method():
         ExperimentConfig(method="Magic").validate()
 
 
+@pytest.mark.parametrize("pair", ["env.view_size=5", "env.noise_sigma=-1",
+                                  "env.max_steps=-1",
+                                  "env.time_penalty_coef=2"])
+def test_load_config_rejects_bad_env_setting(pair):
+    # the env's own ValueError must surface as a usage error
+    with pytest.raises(ConfigError):
+        load_config(overrides=parse_overrides([pair]))
+
+
 def test_validate_rejects_indivisible_bptt():
     with pytest.raises(ConfigError):
         ExperimentConfig(rollout_steps=100, bptt_len=16).validate()
@@ -231,6 +241,23 @@ def test_config_lines_round_trip(tmp_path):
     path.write_text("\n".join(config_lines(cfg)) + "\n")
     again = load_config(str(path))
     assert again == cfg
+
+
+_RECORDS = sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), "acceptance_runs", "*", "seed*.config")))
+
+
+@pytest.mark.parametrize(
+    "record", _RECORDS,
+    ids=[os.path.relpath(r, os.path.dirname(os.path.dirname(r)))
+         for r in _RECORDS])
+def test_config_record_renders_back_byte_for_byte(record):
+    # a cached run is reused only if config_lines reproduces its record
+    with open(record, encoding="utf-8") as fh:
+        text = fh.read()
+    *pairs, seed_line = text.splitlines()
+    cfg = load_config(overrides=parse_overrides(pairs))
+    assert "\n".join(config_lines(cfg) + [seed_line]) + "\n" == text
 
 
 def test_env_spec_translation():
@@ -422,7 +449,11 @@ def test_trainer_resume_reproduces_next_rows(tmp_path, method, sigma):
     assert _tuples(rows) == _tuples(ref_rows[2:])
 
 
-# sha256 of the CSV a tiny noisy run writes after 2 iterations, per method
+# sha256 of the CSV a tiny run writes after 2 iterations: each method at
+# noise 0.1, DEIR in the ordering gates' harsh setting (view 3, which pads
+# the first conv, with hidden obstacles) and on DoorKey8, and PPO with one
+# segment per minibatch (at 64, one minibatch holds every segment, so the
+# order in which segments are gathered would go unseen)
 _TRAINING_DIGESTS = {
     "DEIR": "e19ceb08b61b85629a098ecc0735b0707dd9c2480102475eba8496529760914b",
     "PlainNovelty":
@@ -434,19 +465,31 @@ _TRAINING_DIGESTS = {
     "RND": "7938964e2ca5fbeb91871124baba6b4c1016e7c5f16f00a0a107cee92d1d9851",
     "NoIntrinsic":
         "d3909df0b75eb7d9cb9d94265f08090608416b8b45d6e5de25006fcc7e325cbd",
+    "DEIR-harsh":
+        "773a0879cdff38d9cda71d19b95e5c9853725b7a12bb40de06f0b2d697b17700",
+    "DEIR-DoorKey8":
+        "3dda0edb4f52918b91680e2059e2c8da6dde27d00ffbf0f5bbfb63aa573df529",
+    "NoIntrinsic-minibatch16":
+        "7f20f7c90f4c40e91b6fe03e3371b90c8f45626772b7cba95cc66dc288582081",
+}
+_DIGEST_CONFIGS = {
+    **{method: dict(method=method, noise_sigma=0.1) for method in METHODS},
+    "DEIR-harsh": dict(view_size=3, noise_sigma=0.3, invisible_obstacles=True),
+    "DEIR-DoorKey8": dict(task="DoorKey8", noise_sigma=0.1),
+    "NoIntrinsic-minibatch16": dict(method="NoIntrinsic", minibatch=16),
 }
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_training_digest_is_pinned(tmp_path, method):
-    t = Trainer(_tiny_config(method=method, noise_sigma=0.1), 1)
+@pytest.mark.parametrize("case", _DIGEST_CONFIGS)
+def test_training_digest_is_pinned(tmp_path, case):
+    t = Trainer(_tiny_config(**_DIGEST_CONFIGS[case]), 1)
     rows = [t.train_iteration() for _ in range(2)]
     path = str(tmp_path / "seed1.csv")
     write_csv(path, rows)
     with open(path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    assert digest == _TRAINING_DIGESTS[method], (
-        f"{method}'s training numerics changed. If the change is deliberate, "
+    assert digest == _TRAINING_DIGESTS[case], (
+        f"{case}: the training numerics changed. If the change is deliberate, "
         "update the digest here; the cached 1M-frame runs under "
         "tests/acceptance_runs/ are then stale and must be re-run "
         "(ROADMAP item 5)."

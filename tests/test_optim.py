@@ -27,7 +27,7 @@ def test_zero_gradient_leaves_params():
 def test_first_step_matches_hand_computation():
     # m_hat = 0.5, v_hat = 0.25 -> delta = -lr * 0.5 / (0.5 + eps)
     p = make_param([0.0], [0.5])
-    Adam([p], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-5).step()
+    Adam([p], lr=1e-3, eps=1e-5).step()
     expected = -1e-3 * 0.5 / (np.sqrt(0.25) + 1e-5)
     assert p.data[0] == pytest.approx(expected, rel=1e-9)
     assert p.data[0] == pytest.approx(-9.9998e-4, rel=1e-4)
