@@ -234,34 +234,32 @@ def _view_offsets():
 _OFFSETS = _view_offsets()
 
 
-def _see_behind(obj, state):
-    if obj == Obj.WALL or obj == Obj.UNSEEN:
-        return False
-    if obj == Obj.DOOR and state != DoorState.OPEN:
-        return False
-    return True
-
-
 def _visibility(obj, state):
-    """MiniGrid-style light flood from the agent anchor, row by row."""
-    mask = np.zeros((VIEW, VIEW), dtype=bool)
-    mask[_ANCHOR] = True
+    """MiniGrid-style light flood from the agent anchor, row by row.
+
+    Light passes a cell that is not a wall, not unseen and not a closed
+    or locked door; the flood reads that mask as Python bools.
+    """
+    clear = ((obj != Obj.WALL) & (obj != Obj.UNSEEN)
+             & ((obj != Obj.DOOR) | (state == DoorState.OPEN))).tolist()
+    mask = [[False] * VIEW for _ in range(VIEW)]
+    mask[_ANCHOR[0]][_ANCHOR[1]] = True
     for j in range(VIEW - 1, -1, -1):
         for i in range(0, VIEW - 1):
-            if not mask[i, j] or not _see_behind(obj[i, j], state[i, j]):
+            if not mask[i][j] or not clear[i][j]:
                 continue
-            mask[i + 1, j] = True
+            mask[i + 1][j] = True
             if j > 0:
-                mask[i + 1, j - 1] = True
-                mask[i, j - 1] = True
+                mask[i + 1][j - 1] = True
+                mask[i][j - 1] = True
         for i in range(VIEW - 1, 0, -1):
-            if not mask[i, j] or not _see_behind(obj[i, j], state[i, j]):
+            if not mask[i][j] or not clear[i][j]:
                 continue
-            mask[i - 1, j] = True
+            mask[i - 1][j] = True
             if j > 0:
-                mask[i - 1, j - 1] = True
-                mask[i, j - 1] = True
-    return mask
+                mask[i - 1][j - 1] = True
+                mask[i][j - 1] = True
+    return np.array(mask)
 
 
 def observe(world: GridWorld, spec: EnvSpec) -> np.ndarray:

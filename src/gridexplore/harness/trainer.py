@@ -211,11 +211,11 @@ class Trainer:
                 opt.load_state(arrays, f"mo.{oname}.")
             for w, env in enumerate(self.collector.envs):
                 env.load_state(meta["envs"][w], sub(f"env{w}."))
+            self.method.load_extra(sub("mx."))
         except KeyError as exc:
             raise CheckpointError(f"missing checkpoint array {exc}") from exc
         except EnvError as exc:
             raise CheckpointError(str(exc)) from exc
-        self.method.load_extra(sub("mx."))
 
         c = self.collector
         c.cur_obs = arrays["collector.cur_obs"].astype(np.float32)

@@ -116,8 +116,11 @@ class _ModelMethod(NoIntrinsic):
 
 class _RecurrentMethod(_ModelMethod):
     """Bonus methods on a CNN+GRU embedding model with per-worker hidden
-    state and episodic memories. The default bonus is the DEIR ratio
-    (`_bonus`), one `intrinsic_reward` call per worker."""
+    state and, if their bonus reads them (`episodic`), per-worker episodic
+    memories. The default bonus is the DEIR ratio (`_bonus`), one
+    `intrinsic_reward` call per worker."""
+
+    episodic = True
 
     def __init__(self, n_workers, model, lr, adam_eps, memory_capacity):
         super().__init__(n_workers, model, lr, adam_eps)
@@ -128,7 +131,7 @@ class _RecurrentMethod(_ModelMethod):
         self.memories = [
             EpisodicMemory(model.embed_dim, model.embed_dim, memory_capacity)
             for _ in range(n_workers)
-        ]
+        ] if self.episodic else []
 
     def _embed(self, obs, h):
         with no_grad():
@@ -233,6 +236,7 @@ class ForwardError(_RecurrentMethod):
     """Bonus = squared next-embedding prediction error of a forward model."""
 
     name = "ForwardError"
+    episodic = False
 
     def _rewards(self, e_obs, actions, obs_next, clean_next, dones):
         with no_grad():

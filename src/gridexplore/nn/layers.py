@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import GraphError, Tensor, concat
+from .tensor import GraphError, Tensor, conv2d
 
 EPS_NORM = 1e-8  # sigma floor shared by both normalization modes
 
@@ -97,7 +97,7 @@ class Dense(Module):
 
 
 class Conv2d(Module):
-    """NHWC stride-1 convolution via explicit window slices and one matmul."""
+    """NHWC stride-1 convolution: optional zero padding, then `conv2d`."""
 
     def __init__(self, in_ch, out_ch, kernel, rng, pad=0):
         super().__init__()
@@ -114,15 +114,7 @@ class Conv2d(Module):
             raise GraphError(f"conv expects {self.in_ch} channels, got {x.shape}")
         if self.pad:
             x = x.pad2d(self.pad)
-        n, h, w, _ = x.shape
-        k = self.kernel
-        oh, ow = h - k + 1, w - k + 1
-        cols = concat(
-            [x[:, i : i + oh, j : j + ow, :] for i in range(k) for j in range(k)],
-            axis=-1,
-        )
-        out = cols.reshape(n * oh * ow, k * k * self.in_ch) @ self.w + self.b
-        return out.reshape(n, oh, ow, self.out_ch)
+        return conv2d(x, self.w, self.b, self.kernel)
 
 
 class _Norm(Module):

@@ -255,10 +255,19 @@ class Tensor:
 
     def __getitem__(self, idx):
         out_data = self.data[idx]
+        # ints and slices select each element at most once, so an in-place
+        # add into zeros equals np.add.at bit for bit (signed zeros too);
+        # fancy indices may repeat and must accumulate
+        basic = all(isinstance(i, (slice, int, np.integer))
+                    and not isinstance(i, bool)
+                    for i in (idx if isinstance(idx, tuple) else (idx,)))
 
         def backward(out):
             g = np.zeros_like(self.data)
-            np.add.at(g, idx, out.grad)
+            if basic:
+                g[idx] += out.grad
+            else:
+                np.add.at(g, idx, out.grad)
             self._accum(g)
 
         return self._make(out_data, (self,), backward)
@@ -280,7 +289,7 @@ class Tensor:
 
         def backward(out):
             g = np.zeros_like(self.data)
-            np.add.at(g, (rows, indices), out.grad)
+            g[rows, indices] += out.grad  # one index per row: no repeats
             self._accum(g)
 
         return self._make(out_data, (self,), backward)
@@ -357,3 +366,35 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     if Tensor._grad_enabled:
         out._backward = backward
     return out
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor, k: int) -> Tensor:
+    """NHWC stride-1 k x k convolution as one op: im2col, one matmul, bias.
+
+    Columns are ordered (i, j, channel), matching `w`'s rows. The backward
+    scatters the column gradient back with k*k strided adds in row-major
+    window order, so it sums exactly as k*k window slices would.
+    """
+    n, h, wd, c = x.data.shape
+    oh, ow = h - k + 1, wd - k + 1
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, (k, k),
+                                                       axis=(1, 2))
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(
+        n * oh * ow, k * k * c)
+    out_data = (cols @ w.data + b.data).reshape(n, oh, ow, -1)
+
+    def backward(out):
+        g2d = out.grad.reshape(n * oh * ow, -1)
+        b._accum(g2d.sum(axis=0))
+        w._accum(cols.T @ g2d)
+        dcols = (g2d @ w.data.T).astype(x.data.dtype, copy=False).reshape(
+            n, oh, ow, k * k, c)
+        dx = np.zeros_like(x.data)
+        for i in range(k):
+            for j in range(k):
+                dx[:, i : i + oh, j : j + ow, :] += dcols[:, :, :, i * k + j]
+        x._accum(dx)
+
+    # parents in (x, w, b) order: the topological sort then visits them as
+    # it visited the slice, matmul and bias nodes this op replaces
+    return x._make(out_data, (x, w, b), backward)

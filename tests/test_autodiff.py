@@ -128,3 +128,49 @@ def test_eval_forward_is_pure():
         first = (x @ x).tanh().data.copy()
         second = (x @ x).tanh().data.copy()
     assert np.array_equal(first, second)
+
+
+def _add_at_grad(data, idx, grad):
+    """The np.add.at scatter that indexing backward used for every index."""
+    g = np.zeros_like(data)
+    np.add.at(g, idx, grad)
+    return g
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("idx", [
+    (slice(None), slice(1, 3)),
+    (1,),
+    (slice(None, None, 2), 2),
+    np.int64(2),
+    (slice(None), slice(None), slice(0, 1)),
+], ids=["slices", "int", "step-and-int", "numpy-int", "trailing-slice"])
+def test_getitem_backward_on_plain_index_is_bit_equal_to_add_at(idx):
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((4, 3, 5)).astype(np.float32))
+    y = x[idx]
+    grad = rng.standard_normal(y.shape).astype(np.float32)
+    grad.flat[0] = -0.0  # np.add.at into zeros turns -0.0 into +0.0
+    y.backward(grad)
+    assert _bits(x.grad) == _bits(_add_at_grad(x.data, idx, grad))
+
+
+def test_getitem_backward_with_repeated_fancy_index_accumulates():
+    x = Tensor(np.arange(6.0).reshape(3, 2))
+    x[[0, 0, 1]].backward(np.array([[1.0, 2.0], [10.0, 20.0], [5.0, 5.0]]))
+    assert np.array_equal(x.grad, [[11.0, 22.0], [5.0, 5.0], [0.0, 0.0]])
+
+
+def test_take_rows_backward_is_bit_equal_to_add_at():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((5, 4)))
+    picks = np.array([3, 0, 3, 1, 2])
+    y = x.take_rows(picks)
+    grad = rng.standard_normal(5)
+    grad[1] = -0.0
+    y.backward(grad)
+    expected = _add_at_grad(x.data, (np.arange(5), picks), grad)
+    assert _bits(x.grad) == _bits(expected)

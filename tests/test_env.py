@@ -261,6 +261,55 @@ def test_view3_matches_view7_crop():
                 env3.reset()
 
 
+def _flood_by_cell_lookup(obj, state):
+    """The visibility flood before the light mask was precomputed: one
+    `_see_behind` call per visited cell."""
+    def see_behind(o, st_):
+        if o == Obj.WALL or o == Obj.UNSEEN:
+            return False
+        if o == Obj.DOOR and st_ != DoorState.OPEN:
+            return False
+        return True
+
+    view = core.VIEW
+    mask = np.zeros((view, view), dtype=bool)
+    mask[core._ANCHOR] = True
+    for j in range(view - 1, -1, -1):
+        for i in range(0, view - 1):
+            if not mask[i, j] or not see_behind(obj[i, j], state[i, j]):
+                continue
+            mask[i + 1, j] = True
+            if j > 0:
+                mask[i + 1, j - 1] = True
+                mask[i, j - 1] = True
+        for i in range(view - 1, 0, -1):
+            if not mask[i, j] or not see_behind(obj[i, j], state[i, j]):
+                continue
+            mask[i - 1, j] = True
+            if j > 0:
+                mask[i - 1, j - 1] = True
+                mask[i, j - 1] = True
+    return mask
+
+
+# walls, doors and unseen cells drawn often enough to block the light
+_WINDOW_CELLS = st.sampled_from([Obj.UNSEEN, Obj.EMPTY, Obj.EMPTY, Obj.WALL,
+                                 Obj.WALL, Obj.DOOR, Obj.DOOR, Obj.KEY,
+                                 Obj.GOAL, Obj.FLOOR])
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=st.lists(_WINDOW_CELLS, min_size=49, max_size=49),
+       state=st.lists(st.sampled_from(list(DoorState)), min_size=49,
+                      max_size=49))
+def test_visibility_matches_per_cell_flood(obj, state):
+    obj = np.array(obj, dtype=np.uint8).reshape(7, 7)
+    state = np.array(state, dtype=np.uint8).reshape(7, 7)
+    got = core._visibility(obj, state)
+    assert got.dtype == bool
+    assert np.array_equal(got, _flood_by_cell_lookup(obj, state))
+
+
 # ---------------------------------------------------------------------------
 # State fingerprint
 

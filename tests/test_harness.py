@@ -519,6 +519,41 @@ def test_trainer_load_rejects_environment_shape_mismatch(tmp_path):
         Trainer(_tiny_config(), 1).load(path)
 
 
+def test_forward_error_checkpoint_keeps_no_episodic_memory(tmp_path):
+    # ForwardError's bonus reads no episodic memory, so it neither keeps
+    # nor saves one; a checkpoint of the same version that still carries
+    # the 2 x W empty memory arrays loads and resumes exactly
+    cfg = _tiny_config(method="ForwardError")
+    ref = Trainer(cfg, 1)
+    ref_rows = [ref.train_iteration() for _ in range(3)]
+    t = Trainer(cfg, 1)
+    t.train_iteration()
+    path = str(tmp_path / "run.ckpt")
+    t.save(path)
+    meta, arrays = load_checkpoint(path)
+    assert not any(k.startswith("mx.mem") for k in arrays)
+    for w in range(cfg.workers):
+        for part in ("obs", "traj"):
+            arrays[f"mx.mem{w}_{part}"] = np.zeros((0, cfg.embed_dim),
+                                                  np.float32)
+    save_checkpoint(path, meta, arrays)
+    resumed = Trainer(cfg, 1).load(path)
+    rows = [resumed.train_iteration() for _ in range(2)]
+    assert _tuples(rows) == _tuples(ref_rows[1:])
+
+
+def test_trainer_load_rejects_missing_memory_array(tmp_path):
+    t = Trainer(_tiny_config(), 1)
+    t.train_iteration()
+    path = str(tmp_path / "run.ckpt")
+    t.save(path)
+    meta, arrays = load_checkpoint(path)
+    del arrays["mx.mem1_traj"]
+    save_checkpoint(path, meta, arrays)
+    with pytest.raises(CheckpointError, match="mem1_traj"):
+        Trainer(_tiny_config(), 1).load(path)
+
+
 def test_trainer_metric_rows_monotone_frames():
     cfg = _tiny_config()
     t = Trainer(cfg, 4)

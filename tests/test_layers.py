@@ -11,6 +11,7 @@ from gridexplore.nn import (
     LayerNorm,
     Mlp,
     Tensor,
+    concat,
     no_grad,
 )
 
@@ -61,6 +62,92 @@ def test_conv_gradients(trial):
     x = rand_tensor(rng, 2, 4, 4, 2)
     fn = lambda: (layer(x) ** 2).sum()
     assert max_grad_error(fn, [x, layer.w, layer.b]) < TOL
+
+
+def _add_at_slice(x, idx):
+    """`x[idx]` with the np.add.at backward the engine used before."""
+    def backward(out):
+        g = np.zeros_like(x.data)
+        np.add.at(g, idx, out.grad)
+        x._accum(g)
+
+    return x._make(x.data[idx], (x,), backward)
+
+
+def _conv_by_slices(conv, x):
+    """The Conv2d composition before the conv2d primitive: k*k window
+    slices, a concat, one matmul and the bias, each its own graph node."""
+    if conv.pad:
+        x = x.pad2d(conv.pad)
+    n, h, w, _ = x.shape
+    k = conv.kernel
+    oh, ow = h - k + 1, w - k + 1
+    cols = concat(
+        [_add_at_slice(x, (slice(None), slice(i, i + oh), slice(j, j + ow),
+                           slice(None)))
+         for i in range(k) for j in range(k)],
+        axis=-1,
+    )
+    out = cols.reshape(n * oh * ow, k * k * conv.in_ch) @ conv.w + conv.b
+    return out.reshape(n, oh, ow, conv.out_ch)
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("uses", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pad", [0, 1])
+def test_conv_primitive_is_bit_equal_to_slice_composition(pad, dtype, uses):
+    # float32 weights on float32 or float64 activations, as in training
+    # (train-mode BatchNorm returns float64). With more than one use the
+    # weight and bias gradients sum several terms, as in `embed_pair`, so
+    # the order in which they accumulate is pinned too; the relus put
+    # signed zeros into the gradients.
+    rng = np.random.default_rng(11 + pad)
+    conv = Conv2d(3, 3, 2, rng, pad=pad)
+    data = [rng.standard_normal((2, 5, 5, 3)).astype(dtype)
+            for _ in range(uses)]
+    weights = [rng.standard_normal((2, 4 + 2 * pad, 4 + 2 * pad, 3))
+               .astype(dtype) for _ in range(uses)]
+
+    def grads(apply):
+        conv.zero_grad()
+        xs = [Tensor(d) for d in data]
+        outs = [apply(conv, x).relu() for x in xs]
+        # each use's term enters the loss after the previous ones, as the
+        # two encoder passes of `embed_pair` do
+        loss = (outs[0] * weights[0]).sum()
+        for out, r in zip(outs[1:], weights[1:]):
+            loss = loss * 0.5 + (out * r).sum()
+        loss.backward()
+        return ([o.data for o in outs], [x.grad for x in xs],
+                conv.w.grad, conv.b.grad)
+
+    new = grads(Conv2d.__call__)
+    ref = grads(_conv_by_slices)
+    for a, b in zip(new[0] + new[1] + [new[2], new[3]],
+                    ref[0] + ref[1] + [ref[2], ref[3]]):
+        assert _bits(a) == _bits(b)
+
+
+def test_conv_primitive_float64_gradient_into_float32_input():
+    # a float64 loss over float32 activations: the input gradient comes
+    # back in the input's dtype, rounded as the per-slice adds rounded it
+    rng = np.random.default_rng(5)
+    conv = Conv2d(2, 4, 2, rng)
+    data = rng.standard_normal((3, 4, 4, 2)).astype(np.float32)
+    r = rng.standard_normal((3, 3, 3, 4))
+
+    def grads(apply):
+        conv.zero_grad()
+        x = Tensor(data)
+        (apply(conv, x) * r).sum().backward()
+        return x.grad, conv.w.grad, conv.b.grad
+
+    for a, b in zip(grads(Conv2d.__call__), grads(_conv_by_slices)):
+        assert _bits(a) == _bits(b)
 
 
 @pytest.mark.parametrize("trial", range(10))
