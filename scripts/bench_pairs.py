@@ -3,16 +3,20 @@
 
 Usage:
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --tag hotpath \\
-        --workload deir_multiroom --seeds 100-109 [--seconds 24] \\
-        [--trace-seeds 0]
+        --workload deir_multiroom --seeds 100-109 [--trace-seeds 0]
+
+PARENT_DIR and CHANGE_DIR must be git checkouts (e.g. `git clone`) with
+no uncommitted change to a tracked file: each run records the commit of
+its checkout, and the script refuses a side whose commit it cannot name.
 
 For each seed, `perfbench/run.py --trace 0` runs once in each checkout,
 one after the other; the side that runs first alternates from seed to
-seed, so a slow spell of the host hits both sides alike. Each
+seed, so a slow spell of the host hits both sides alike. Every run lasts
+the `run_seconds` of the change checkout's BENCHMARK.json. Each
 `--trace-seeds` seed adds one `--trace 1` run per side, alternating the
 same way. The runs are sequential.
 
-The result goes to BENCH_<tag>.json (or --out) under
+The result goes to BENCH_<tag>.json under
 `workloads.<workload>`; other workloads already in the file are kept, so
 one file can collect several invocations. Per workload it records every
 run (metrics, digest line, commit), each side's median and quartiles
@@ -41,6 +45,22 @@ def parse_seeds(text):
     return seeds
 
 
+def checkout_commit(checkout):
+    """The HEAD commit of a clean git checkout; SystemExit otherwise."""
+    def git(*args):
+        return subprocess.run(["git", "-C", checkout, *args], check=True,
+                              capture_output=True, text=True).stdout.strip()
+    try:
+        commit = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+    except (OSError, subprocess.CalledProcessError) as exc:
+        raise SystemExit(f"{checkout}: not a git checkout ({exc})")
+    if dirty:
+        raise SystemExit(f"{checkout}: tracked files differ from {commit}:"
+                         f"\n{dirty}")
+    return commit
+
+
 def run_once(checkout, workload, seed, seconds, trace):
     """One perfbench run: its result, digest line and commit."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -53,8 +73,6 @@ def run_once(checkout, workload, seed, seconds, trace):
                            f"{proc.returncode}:\n{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
     digest = next((l for l in lines if l.startswith("digest ")), "")
-    context = next((json.loads(l[len("context "):]) for l in lines
-                    if l.startswith("context ")), {})
     return {
         "seed": seed,
         "trace": trace,
@@ -65,7 +83,7 @@ def run_once(checkout, workload, seed, seconds, trace):
         "digest": digest,
         "rows_sha256": next((f[len("sha256="):] for f in digest.split()
                              if f.startswith("sha256=")), None),
-        "commit": context.get("commit"),
+        "commit": checkout_commit(checkout),
     }
 
 
@@ -93,11 +111,13 @@ def summarize(parent_runs, change_runs, better):
     return out
 
 
-def directions(checkout):
+def benchmark(checkout):
+    """Run length and which way each metric is better, from BENCHMARK.json."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    return {m["name"]: m["better"]
-            for m in bench["end_to_end"] + bench["per_layer"]}
+    better = {m["name"]: m["better"]
+              for m in bench["end_to_end"] + bench["per_layer"]}
+    return bench["run_seconds"], better
 
 
 def paired(parent, change, workload, seeds, seconds, trace):
@@ -123,18 +143,18 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="e.g. 100-109 or 0,1,2")
-    parser.add_argument("--seconds", type=float, default=24.0)
     parser.add_argument("--trace-seeds", type=parse_seeds, default=[],
                         help="seeds of the --trace 1 pairs")
-    parser.add_argument("--out", help="default: BENCH_<tag>.json")
     args = parser.parse_args(argv)
-    out = args.out or f"BENCH_{args.tag}.json"
-    better = directions(args.change_dir)
+    out = f"BENCH_{args.tag}.json"
+    seconds, better = benchmark(args.change_dir)
+    commits = {side: checkout_commit(d) for side, d in
+               (("parent", args.parent_dir), ("change", args.change_dir))}
 
-    record = {"seeds": args.seeds, "seconds": args.seconds}
+    record = {"seeds": args.seeds, "seconds": seconds, "commits": commits}
     parent_runs, change_runs = paired(args.parent_dir, args.change_dir,
                                       args.workload, args.seeds,
-                                      args.seconds, 0)
+                                      seconds, 0)
     record["end_to_end"] = summarize(parent_runs, change_runs, better)
     record["digests_equal"] = all(
         p["rows_sha256"] == c["rows_sha256"]
@@ -143,7 +163,7 @@ def main(argv=None):
     if args.trace_seeds:
         p_trace, c_trace = paired(args.parent_dir, args.change_dir,
                                   args.workload, args.trace_seeds,
-                                  args.seconds, 1)
+                                  seconds, 1)
         record["trace_seeds"] = args.trace_seeds
         record["per_layer"] = summarize(p_trace, c_trace, better)
         runs["parent"] += p_trace

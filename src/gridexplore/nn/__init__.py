@@ -1,4 +1,4 @@
-from .tensor import GraphError, Tensor, concat, conv2d, no_grad
+from .tensor import GraphError, Tensor, concat, no_grad
 from .layers import (
     BatchNorm,
     CnnEncoder,
@@ -31,7 +31,6 @@ __all__ = [
     "Tensor",
     "clip_grad_norm",
     "concat",
-    "conv2d",
     "make_norm",
     "no_grad",
     "orthogonal",
