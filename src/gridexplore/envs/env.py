@@ -1,9 +1,13 @@
-"""Single-instance environment wrapper tying together layout generation,
-world dynamics, and the observation pipeline.
+"""Batched environment: W grid-world workers stepped in lockstep, tying
+together layout generation, world dynamics and the observation pipeline.
 
-Each instance owns its RNG streams: one for episode layouts and a separate
-one for observation noise, so the state trajectory under a fixed action
-sequence does not depend on whether noise is enabled.
+The workers' obj, color and state grids live in one (3, W, w, h) array;
+each worker's `GridWorld` holds views into it, so `core.step` and
+`solve` work on a worker as on any world, while observations and state
+fingerprints are computed for all workers at once. Each worker owns its
+RNG streams: one for episode layouts and a separate one for observation
+noise, so the state trajectory under a fixed action sequence does not
+depend on whether noise is enabled.
 """
 from __future__ import annotations
 
@@ -17,77 +21,113 @@ from .core import Action, EnvSpec, GridWorld
 
 @dataclass
 class StepResult:
-    obs: np.ndarray  # integer observation after deterministic modifiers
-    net_obs: np.ndarray  # float32 network input (normalized + noise)
-    reward: float
-    done: bool
-    state: bytes  # full-state fingerprint (oracle use only)
+    """One row per worker stepped or reset."""
+
+    obs: np.ndarray  # (n, v, v, 3) uint8 after deterministic modifiers
+    net_obs: np.ndarray  # (n, v, v, 3) float32 network input (normalized + noise)
+    reward: np.ndarray  # (n,) float64
+    done: np.ndarray  # (n,) bool
+    state: list  # n full-state fingerprints (oracle use only)
 
 
 class Env:
-    """One grid-world worker: reset() starts a fresh random layout."""
+    """W grid-world workers; reset() starts fresh random layouts."""
 
-    _PLANES = ("obj", "color", "state")  # the world's uint8 grids
+    _PLANES = ("obj", "color", "state")  # the worlds' uint8 grids
 
-    def __init__(self, spec: EnvSpec, seed: int):
+    def __init__(self, spec: EnvSpec, seeds):
         self.spec = spec
-        self._layout_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-        self._noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        self.world: GridWorld | None = None
+        self.n_workers = len(seeds)
+        self._layout_rngs = [
+            np.random.default_rng(np.random.SeedSequence([seed, 0]))
+            for seed in seeds
+        ]
+        self._noise_rngs = [
+            np.random.default_rng(np.random.SeedSequence([seed, 1]))
+            for seed in seeds
+        ]
+        self.planes: np.ndarray | None = None  # (3, W, w, h) uint8
+        self.worlds: list[GridWorld | None] = [None] * self.n_workers
 
-    def _observe(self):
-        obs = core.observe(self.world, self.spec)
+    def _results(self, idx, reward, done):
+        """StepResult of the workers `idx` (all workers when None)."""
+        planes = self.planes if idx is None else self.planes[:, idx]
+        worlds = self.worlds if idx is None else [self.worlds[i] for i in idx]
+        obs = core.observe_batch(planes, worlds, self.spec.view_size)
         if self.spec.invisible_obstacles:
             obs = modifiers.hide_obstacles(obs)
-        net = modifiers.apply_noise(
-            obs, self.spec.noise_mu, self.spec.noise_sigma, self._noise_rng
-        )
-        return obs, net
+        # noise is drawn per worker, each from its own stream
+        rngs = (self._noise_rngs if idx is None
+                else [self._noise_rngs[i] for i in idx])
+        mu, sigma = self.spec.noise_mu, self.spec.noise_sigma
+        net = np.stack([modifiers.apply_noise(row, mu, sigma, rng) for row, rng
+                        in zip(modifiers.normalize_obs(obs), rngs)])
+        return StepResult(obs, net, reward, done,
+                          core.state_id_batch(planes, worlds))
 
-    def reset(self) -> StepResult:
-        layout_seed = int(self._layout_rng.integers(2**31))
-        self.world = layouts.generate(self.spec, layout_seed)
-        obs, net = self._observe()
-        return StepResult(obs, net, 0.0, False, core.state_id(self.world))
+    def reset(self, workers=None) -> StepResult:
+        """Fresh layouts for `workers` (indices; all when None); the
+        result has one row per reset worker, in the order given."""
+        idx = range(self.n_workers) if workers is None else workers
+        for i in idx:
+            seed = int(self._layout_rngs[i].integers(2**31))
+            world = layouts.generate(self.spec, seed)
+            if self.planes is None:
+                self.planes = np.zeros(
+                    (3, self.n_workers, world.width, world.height), np.uint8)
+            for k, plane in enumerate(self._PLANES):
+                self.planes[k, i] = getattr(world, plane)
+                setattr(world, plane, self.planes[k, i])
+            self.worlds[i] = world
+        n = len(idx)
+        return self._results(None if workers is None else list(idx),
+                             np.zeros(n), np.zeros(n, dtype=bool))
 
-    def step(self, action: Action) -> StepResult:
-        if self.world is None:
+    def step(self, actions) -> StepResult:
+        """Advance every worker by its action; one row per worker."""
+        if self.planes is None:
             raise core.EnvError("step() before reset()")
-        reward, done = core.step(
-            self.world, Action(action), self.spec.time_penalty_coef
-        )
-        obs, net = self._observe()
-        return StepResult(obs, net, reward, done, core.state_id(self.world))
+        reward = np.zeros(self.n_workers)
+        done = np.zeros(self.n_workers, dtype=bool)
+        coef = self.spec.time_penalty_coef
+        for i, (world, a) in enumerate(zip(self.worlds, actions)):
+            reward[i], done[i] = core.step(world, Action(int(a)), coef)
+        return self._results(None, reward, done)
 
     def dump_state(self):
-        """(meta, arrays) that `load_state` restores this worker from:
-        the world's scalars and RNG states, and its uint8 grid planes."""
-        w = self.world
-        meta = {
-            "agent_pos": list(w.agent_pos),
-            "agent_dir": int(w.agent_dir),
-            "carried": list(w.carried) if w.carried else None,
-            "step_count": w.step_count,
-            "done": w.done,
-            "max_steps": w.max_steps,
-            "width": w.width,
-            "height": w.height,
-            "layout_rng": self._layout_rng.bit_generator.state,
-            "noise_rng": self._noise_rng.bit_generator.state,
-        }
-        return meta, {p: getattr(w, p) for p in self._PLANES}
+        """(metas, arrays) that `load_state` restores the workers from: per
+        worker its world's scalars and RNG states, and its uint8 grid
+        planes under `env{w}.obj`, `env{w}.color`, `env{w}.state`."""
+        metas, arrays = [], {}
+        for i, w in enumerate(self.worlds):
+            metas.append({
+                "agent_pos": list(w.agent_pos),
+                "agent_dir": int(w.agent_dir),
+                "carried": list(w.carried) if w.carried else None,
+                "step_count": w.step_count,
+                "done": w.done,
+                "max_steps": w.max_steps,
+                "width": w.width,
+                "height": w.height,
+                "layout_rng": self._layout_rngs[i].bit_generator.state,
+                "noise_rng": self._noise_rngs[i].bit_generator.state,
+            })
+            for plane in self._PLANES:
+                arrays[f"env{i}.{plane}"] = getattr(w, plane)
+        return metas, arrays
 
-    def load_state(self, meta, arrays):
-        w = self.world
-        if w is None or (w.width, w.height) != (meta["width"], meta["height"]):
-            raise core.EnvError("environment shape mismatch")
-        for plane in self._PLANES:
-            getattr(w, plane)[:] = arrays[plane]
-        w.agent_pos = tuple(meta["agent_pos"])
-        w.agent_dir = core.Dir(meta["agent_dir"])
-        w.carried = tuple(meta["carried"]) if meta["carried"] else None
-        w.step_count = meta["step_count"]
-        w.done = meta["done"]
-        w.max_steps = meta["max_steps"]
-        self._layout_rng.bit_generator.state = meta["layout_rng"]
-        self._noise_rng.bit_generator.state = meta["noise_rng"]
+    def load_state(self, metas, arrays):
+        for i, (w, meta) in enumerate(zip(self.worlds, metas)):
+            if w is None or (w.width, w.height) != (meta["width"],
+                                                    meta["height"]):
+                raise core.EnvError("environment shape mismatch")
+            for plane in self._PLANES:
+                getattr(w, plane)[:] = arrays[f"env{i}.{plane}"]
+            w.agent_pos = tuple(meta["agent_pos"])
+            w.agent_dir = core.Dir(meta["agent_dir"])
+            w.carried = tuple(meta["carried"]) if meta["carried"] else None
+            w.step_count = meta["step_count"]
+            w.done = meta["done"]
+            w.max_steps = meta["max_steps"]
+            self._layout_rngs[i].bit_generator.state = meta["layout_rng"]
+            self._noise_rngs[i].bit_generator.state = meta["noise_rng"]

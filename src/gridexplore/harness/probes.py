@@ -75,24 +75,25 @@ def _labels(world):
 
 def collect_probe_dataset(spec, seed, episodes=40):
     """Scripted rollouts -> list of (obs_seq, label_seq) per episode."""
-    env = Env(spec, seed)
+    env = Env(spec, [seed])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 77]))
     data = []
     for _ in range(episodes):
         res = env.reset()
+        world = env.worlds[0]
         obs_seq, label_seq = [], []
-        plan = solve(env.world) or []
-        while not res.done:
+        plan = solve(world) or []
+        while not res.done[0]:
             if plan and rng.random() >= DETOUR_PROB:
                 action = plan.pop(0)
             else:
                 action = Action(int(rng.integers(N_ACTIONS)))
                 plan = []  # wandered off the plan; recompute lazily
-            res = env.step(action)
-            obs_seq.append(res.net_obs)
-            label_seq.append(_labels(env.world))
-            if not plan and not res.done:
-                plan = solve(env.world) or []
+            res = env.step([action])
+            obs_seq.append(res.net_obs[0])
+            label_seq.append(_labels(world))
+            if not plan and not res.done[0]:
+                plan = solve(world) or []
         data.append((np.stack(obs_seq), np.array(label_seq, dtype=np.float64)))
     return data
 

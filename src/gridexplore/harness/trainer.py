@@ -54,8 +54,8 @@ class Trainer:
             adam_eps=cfg.adam_eps, memory_capacity=memory_capacity,
             queue_size=cfg.queue_size, queue_smoothing=cfg.queue_smoothing,
         )
-        envs = [Env(spec, seed * 100_000 + w) for w in range(cfg.workers)]
-        self.collector = Collector(envs, self.policy, self.method,
+        env = Env(spec, [seed * 100_000 + w for w in range(cfg.workers)])
+        self.collector = Collector(env, self.policy, self.method,
                                    _rng(seed, 3))
         self.update_rng = _rng(seed, 4)
         self.method_rng = _rng(seed, 5)
@@ -146,8 +146,8 @@ class Trainer:
             "frames": self.frames,
             "iteration": self.iteration,
             "total_episodes": c.total_episodes,
-            "episode_returns": c.episode_returns,
-            "episode_lengths": c.episode_lengths,
+            "episode_returns": c.episode_returns.tolist(),
+            "episode_lengths": c.episode_lengths.tolist(),
             "finished_episodes": list(c.finished_episodes),
             "lifetime_states": sorted(s.hex() for s in self.tracker.lifetime),
             "episode_states": [
@@ -174,12 +174,8 @@ class Trainer:
             arrays["mx." + name] = arr
         arrays["collector.cur_obs"] = c.cur_obs
         arrays["collector.policy_hidden"] = c.policy_hidden
-        meta["envs"] = []
-        for w, env in enumerate(c.envs):
-            env_meta, planes = env.dump_state()
-            meta["envs"].append(env_meta)
-            for name, arr in planes.items():
-                arrays[f"env{w}.{name}"] = arr
+        meta["envs"], planes = c.env.dump_state()
+        arrays.update(planes)
         save_checkpoint(path, meta, arrays)
 
     # run-control keys may legitimately change on resume (extending the
@@ -209,8 +205,7 @@ class Trainer:
                 module.load_state(sub(f"m.{mname}."))
             for oname, opt in self.method.optimizers().items():
                 opt.load_state(arrays, f"mo.{oname}.")
-            for w, env in enumerate(self.collector.envs):
-                env.load_state(meta["envs"][w], sub(f"env{w}."))
+            self.collector.env.load_state(meta["envs"], arrays)
             self.method.load_extra(sub("mx."))
         except KeyError as exc:
             raise CheckpointError(f"missing checkpoint array {exc}") from exc
@@ -220,8 +215,8 @@ class Trainer:
         c = self.collector
         c.cur_obs = arrays["collector.cur_obs"].astype(np.float32)
         c.policy_hidden = arrays["collector.policy_hidden"].astype(np.float32)
-        c.episode_returns = list(meta["episode_returns"])
-        c.episode_lengths = list(meta["episode_lengths"])
+        c.episode_returns = np.array(meta["episode_returns"], np.float64)
+        c.episode_lengths = np.array(meta["episode_lengths"], np.int64)
         c.finished_episodes.clear()
         c.finished_episodes.extend(tuple(e) for e in meta["finished_episodes"])
         c.total_episodes = meta["total_episodes"]

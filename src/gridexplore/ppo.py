@@ -233,29 +233,49 @@ def ppo_update(model, optimizer, buffer: RolloutBuffer, rng, clip=0.2,
 # Collection
 
 
+def sample_actions(rng, probs):
+    """One categorical draw per row of `probs`, equal to
+    `[rng.choice(len(p), p=p) for p in probs]` draw for draw and leaving
+    `rng` in the same state: a uniform per row against the row's float64
+    CDF divided by its last entry. Rows are checked as `choice` checks
+    `p`: no NaN, no negative entry, and a sum within sqrt(eps) of 1."""
+    atol = np.sqrt(max(np.finfo(np.float64).eps, np.finfo(probs.dtype).eps))
+    p = probs.astype(np.float64)
+    total = p.sum(axis=1)
+    if np.isnan(total).any():
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if (np.abs(total - 1.0) > atol).any():
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random(len(p))
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
 class Collector:
-    """Steps N environments in lockstep and fills rollout buffers.
+    """Steps a batched Env's workers in lockstep and fills rollout
+    buffers.
 
     Persists mid-episode state (current observations, hidden states)
     between rollouts; hidden states reset to zero at episode boundaries.
     """
 
-    def __init__(self, envs, policy: ActorCritic, method, rng):
-        self.envs = envs
+    def __init__(self, env, policy: ActorCritic, method, rng):
+        self.env = env
         self.policy = policy
         self.method = method
         self.rng = rng
-        self.n_workers = len(envs)
-        first = [env.reset() for env in envs]
-        self.cur_obs = np.stack([r.net_obs for r in first])
-        self.cur_states = [r.state for r in first]
+        self.n_workers = env.n_workers
+        self.cur_obs = env.reset().net_obs
         self.policy_hidden = np.zeros(
             (self.n_workers, policy.embed_dim), np.float32
         )
         self.method.start(self.cur_obs)
         # episode bookkeeping for metrics
-        self.episode_returns = [0.0] * self.n_workers
-        self.episode_lengths = [0] * self.n_workers
+        self.episode_returns = np.zeros(self.n_workers)
+        self.episode_lengths = np.zeros(self.n_workers, dtype=np.int64)
         self.finished_episodes = deque(maxlen=100)  # (return, length)
         self.total_episodes = 0
 
@@ -274,47 +294,47 @@ class Collector:
                 logp_all = logits.log_softmax().data
                 probs = np.exp(logp_all)
                 probs /= probs.sum(axis=1, keepdims=True)
-                actions = np.array(
-                    [self.rng.choice(policy.n_actions, p=p) for p in probs]
-                )
-                results = [
-                    env.step(int(a)) for env, a in zip(self.envs, actions)
-                ]
+                actions = sample_actions(self.rng, probs)
+                res = self.env.step(actions)
 
                 buf.obs[t] = self.cur_obs
                 buf.policy_h[t] = self.policy_hidden
                 buf.actions[t] = actions
                 buf.log_probs[t] = logp_all[np.arange(self.n_workers), actions]
                 buf.values[t] = value.data.reshape(-1)
-                buf.ext_rewards[t] = [r.reward for r in results]
-                buf.dones[t] = [r.done for r in results]
-                buf.obs_next[t] = np.stack([r.net_obs for r in results])
-                buf.clean_next[t] = np.stack([r.obs for r in results])
-                buf.states.append([r.state for r in results])
+                buf.ext_rewards[t] = res.reward
+                buf.dones[t] = res.done
+                buf.obs_next[t] = res.net_obs
+                buf.clean_next[t] = res.obs
+                buf.states.append(res.state)
 
                 buf.disc_h[t] = method.h_prev()
                 buf.raw_ir[t] = method.step(buf.obs_next[t], actions,
                                             buf.clean_next[t], buf.dones[t])
 
-                next_obs = buf.obs_next[t].copy()
+                self.cur_obs = buf.obs_next[t].copy()
                 self.policy_hidden = h_next.data.astype(np.float32)
-                for w, res in enumerate(results):
-                    self.episode_returns[w] += res.reward
-                    self.episode_lengths[w] += 1
-                    if res.done:
-                        self.finished_episodes.append(
-                            (self.episode_returns[w], self.episode_lengths[w])
-                        )
-                        self.total_episodes += 1
-                        self.episode_returns[w] = 0.0
-                        self.episode_lengths[w] = 0
-                        fresh = self.envs[w].reset()
-                        next_obs[w] = fresh.net_obs
-                        self.policy_hidden[w] = 0.0
-                        method.on_reset(w, fresh.net_obs)
-                self.cur_obs = next_obs
+                self.episode_returns += res.reward
+                self.episode_lengths += 1
+                done = np.flatnonzero(res.done)
+                if done.size:
+                    self._end_episodes(done)
             _, value, _ = policy.act(
                 Tensor(self.cur_obs), Tensor(self.policy_hidden)
             )
             buf.bootstrap[:] = value.data.reshape(-1)
         return buf
+
+    def _end_episodes(self, done):
+        """Book the finished episodes of workers `done` and reset them."""
+        self.finished_episodes.extend(zip(
+            self.episode_returns[done].tolist(),
+            self.episode_lengths[done].tolist()))
+        self.total_episodes += len(done)
+        self.episode_returns[done] = 0.0
+        self.episode_lengths[done] = 0
+        fresh = self.env.reset(done)
+        self.cur_obs[done] = fresh.net_obs
+        self.policy_hidden[done] = 0.0
+        for w, net_obs in zip(done.tolist(), fresh.net_obs):
+            self.method.on_reset(w, net_obs)

@@ -5,9 +5,11 @@ are marked slow and train through `_run_cached`, which reuses finished
 runs under tests/acceptance_runs/ so a green suite can be re-verified
 without repeating hours of training; delete a run's directory to retrain
 it from scratch. Per run the cache commits the metric CSV, its wall time
-(`.elapsed`), the config and seed it was trained with (`.config`) and,
+(`.elapsed`), the config and seed it was trained with plus a numerics
+fingerprint, the digest of its method's tiny pinned run (`.config`), and,
 for a method with a bonus model, that model's weights (`.weights`,
-~44 KB at desk scale). Full checkpoints are not kept.
+~44 KB at desk scale). A cached run whose record is missing or differs
+fails. Full checkpoints are not kept.
 
 The method-ordering gates (5, 6) run MultiRoomN2S4 at view 3 with
 sigma=0.3 noise and invisible obstacles, where a NoIntrinsic control must
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 
 from gradcheck import max_grad_error, rand_tensor, to_float64
+from pinned_runs import training_digest
 from gridexplore.envs import EnvSpec
 from gridexplore.harness import (
     ExperimentConfig,
@@ -240,29 +243,51 @@ def _train(cfg, seed, csv_path):
     return trainer, time.monotonic() - start
 
 
+def _record(cfg, seed):
+    """The `.config` record of a run: its config, its seed and the
+    numerics fingerprint of the code, the digest of its method's tiny
+    pinned run (pinned_runs.py)."""
+    lines = config_lines(cfg) + [f"seed = {seed}",
+                                 f"fingerprint = {training_digest(cfg.method)}"]
+    return "\n".join(lines) + "\n"
+
+
 def _run_cached(tag, cfg, seed, weights=False, root=CACHE):
     """Train (config, seed) unless its CSV is already cached; returns the
     final metric row as a dict plus the recorded wall time in seconds.
 
     Each trained run leaves `seedN.csv`, `seedN.elapsed`, `seedN.config`
-    (the config and seed it was trained with) and, for a method with a
-    bonus model, `seedN.weights` (that model's parameters). A cached run
-    whose config record differs from `cfg` fails; one without a record
-    predates the record and is taken as it is. With `weights=True` a
-    cached run without a weights blob is retrained, and the retrain must
-    reproduce the cached CSV byte for byte, or the cached run is stale."""
+    (the config and seed it was trained with and the numerics
+    fingerprint, see `_record`) and, for a method with a bonus model,
+    `seedN.weights` (that model's parameters). A cached run fails if its
+    record is missing, names another config or seed, or carries another
+    fingerprint or none: its CSV would then not be what this code trains.
+    With `weights=True` a cached run without a weights blob is retrained,
+    and the retrain must reproduce the cached CSV byte for byte, or the
+    cached run is stale."""
     out = os.path.join(root, tag)
     csv_path = os.path.join(out, f"seed{seed}.csv")
     elapsed_path = os.path.join(out, f"seed{seed}.elapsed")
     config_path = os.path.join(out, f"seed{seed}.config")
     weights_path = os.path.join(out, f"seed{seed}.weights")
-    record = "\n".join(config_lines(cfg) + [f"seed = {seed}"]) + "\n"
-    if os.path.exists(config_path):
+    record = _record(cfg, seed)
+    if os.path.exists(csv_path):
+        if not os.path.exists(config_path):
+            pytest.fail(f"cached run {tag}/seed{seed} has no config record "
+                        f"({config_path}); delete {out} to retrain it")
         with open(config_path, encoding="utf-8") as fh:
-            if fh.read() != record:
-                pytest.fail(f"cached run {tag}/seed{seed} was trained with "
-                            f"another config than this test's (see "
-                            f"{config_path}); delete {out} to retrain it")
+            cached = fh.read()
+        config_part = record[:record.index("fingerprint = ")]
+        if not cached.startswith(config_part):
+            pytest.fail(f"cached run {tag}/seed{seed} was trained with "
+                        f"another config than this test's (see "
+                        f"{config_path}); delete {out} to retrain it")
+        if cached != record:
+            pytest.fail(f"cached run {tag}/seed{seed} was trained under "
+                        f"other numerics: its fingerprint differs from the "
+                        f"digest of this code's pinned {cfg.method} run, or "
+                        f"is missing (see {config_path}); delete {out} to "
+                        f"retrain it")
     if not os.path.exists(csv_path):
         os.makedirs(out, exist_ok=True)
         trainer, secs = _train(cfg, seed, csv_path)
@@ -621,3 +646,24 @@ def test_accept_run_cache_refuses_stale_or_foreign_runs(tmp_path):
     # a run recorded under another config is refused, not reused
     with pytest.raises(pytest.fail.Exception, match="another config"):
         _run_cached("tiny", dataclasses.replace(cfg, beta=0.5), 1, root=root)
+
+
+def test_accept_run_cache_refuses_other_numerics(tmp_path):
+    cfg, root = _tiny_config(), str(tmp_path)
+    record = tmp_path / "tiny" / "seed1.config"
+    _run_cached("tiny", cfg, 1, root=root)
+    text = record.read_text()
+    assert text.endswith(f"fingerprint = {training_digest('DEIR')}\n")
+
+    # a record under another fingerprint, or none, is refused, not reused
+    other = text.replace(training_digest("DEIR"), "0" * 64)
+    without = text[:text.index("fingerprint = ")]
+    for stale in (other, without):
+        record.write_text(stale)
+        with pytest.raises(pytest.fail.Exception, match="other numerics"):
+            _run_cached("tiny", cfg, 1, root=root)
+
+    # so is a cached CSV without any record
+    record.unlink()
+    with pytest.raises(pytest.fail.Exception, match="no config record"):
+        _run_cached("tiny", cfg, 1, root=root)

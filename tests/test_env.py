@@ -247,16 +247,16 @@ def test_outside_map_is_unseen():
 def test_view3_matches_view7_crop():
     rng = np.random.default_rng(0)
     for task in ("FourRooms", "DoorKey8", "MultiRoomN4S5"):
-        env7 = Env(EnvSpec(task, view_size=7), seed=11)
-        env3 = Env(EnvSpec(task, view_size=3), seed=11)
+        env7 = Env(EnvSpec(task, view_size=7), [11])
+        env3 = Env(EnvSpec(task, view_size=3), [11])
         env7.reset()
         env3.reset()
         for _ in range(200):
-            a = Action(rng.integers(7))
+            a = [Action(rng.integers(7))]
             r7 = env7.step(a)
             r3 = env3.step(a)
-            assert np.array_equal(r3.obs, r7.obs[2:5, 4:7])
-            if r7.done:
+            assert np.array_equal(r3.obs, r7.obs[:, 2:5, 4:7])
+            if r7.done[0]:
                 env7.reset()
                 env3.reset()
 
@@ -418,14 +418,14 @@ def test_hide_obstacles_is_idempotent():
 
 
 def _rollout_states(spec, seed, actions):
-    env = Env(spec, seed)
+    env = Env(spec, [seed])
     res = env.reset()
-    states = [res.state]
+    states = res.state
     for a in actions:
-        res = env.step(a)
-        states.append(res.state)
-        if res.done:
-            states.append(env.reset().state)
+        res = env.step([a])
+        states += res.state
+        if res.done[0]:
+            states += env.reset().state
     return states
 
 
@@ -433,15 +433,15 @@ def test_env_is_deterministic():
     rng = np.random.default_rng(9)
     actions = [Action(a) for a in rng.integers(0, 7, size=300)]
     spec = EnvSpec("MultiRoomN2S4")
-    e1, e2 = Env(spec, 5), Env(spec, 5)
+    e1, e2 = Env(spec, [5]), Env(spec, [5])
     r1, r2 = e1.reset(), e2.reset()
     assert np.array_equal(r1.obs, r2.obs)
     for a in actions:
-        r1, r2 = e1.step(a), e2.step(a)
+        r1, r2 = e1.step([a]), e2.step([a])
         assert np.array_equal(r1.obs, r2.obs)
         assert np.array_equal(r1.net_obs, r2.net_obs)
         assert r1.reward == r2.reward and r1.state == r2.state
-        if r1.done:
+        if r1.done[0]:
             e1.reset(), e2.reset()
 
 
@@ -458,9 +458,170 @@ def test_modifiers_do_not_change_state_stream():
 
 
 def test_sigma_zero_pipeline_matches_base():
-    env = Env(EnvSpec("FourRooms"), 4)
+    env = Env(EnvSpec("FourRooms"), [4])
     res = env.reset()
     assert np.array_equal(res.net_obs, normalize_obs(res.obs))
+
+
+# ---------------------------------------------------------------------------
+# Batched Env against a scalar reference stream
+
+
+def _list_flood(obj, state):
+    """The visibility flood before it was table-driven: one 7x7 window,
+    flooded as nested Python lists of bools."""
+    view = core.VIEW
+    clear = ((obj != Obj.WALL) & (obj != Obj.UNSEEN)
+             & ((obj != Obj.DOOR) | (state == DoorState.OPEN))).tolist()
+    mask = [[False] * view for _ in range(view)]
+    mask[core._ANCHOR[0]][core._ANCHOR[1]] = True
+    for j in range(view - 1, -1, -1):
+        for i in range(0, view - 1):
+            if not mask[i][j] or not clear[i][j]:
+                continue
+            mask[i + 1][j] = True
+            if j > 0:
+                mask[i + 1][j - 1] = True
+                mask[i][j - 1] = True
+        for i in range(view - 1, 0, -1):
+            if not mask[i][j] or not clear[i][j]:
+                continue
+            mask[i - 1][j] = True
+            if j > 0:
+                mask[i - 1][j - 1] = True
+                mask[i][j - 1] = True
+    return np.array(mask)
+
+
+def _scalar_observe(world, view_size):
+    """One world's observation, gathered and flooded on its own."""
+    ax, ay = world.agent_pos
+    offsets = core._OFFSETS[world.agent_dir]
+    cx, cy = offsets[..., 0] + ax, offsets[..., 1] + ay
+    inside = (cx >= 0) & (cx < world.width) & (cy >= 0) & (cy < world.height)
+    cx = np.clip(cx, 0, world.width - 1)
+    cy = np.clip(cy, 0, world.height - 1)
+    obj = np.where(inside, world.obj[cx, cy], Obj.UNSEEN)
+    color = np.where(inside, world.color[cx, cy], 0)
+    state = np.where(inside, world.state[cx, cy], 0)
+    mask = _list_flood(obj, state)
+    obj = np.where(mask, obj, Obj.UNSEEN)
+    color = np.where(mask, color, 0)
+    state = np.where(mask, state, 0)
+    anchor = core._ANCHOR
+    if world.carried is not None:
+        obj[anchor], color[anchor] = world.carried
+        state[anchor] = 0
+    else:
+        obj[anchor], color[anchor], state[anchor] = Obj.EMPTY, 0, 0
+    out = np.stack([obj, color, state], axis=-1).astype(np.uint8)
+    if view_size == 3:
+        out = out[2:5, 4:7]
+    return out
+
+
+def _scalar_state_id(world):
+    """One world's fingerprint, packed cell by cell."""
+    carried = world.carried
+    parts = [bytes((world.agent_pos[0], world.agent_pos[1],
+                    int(world.agent_dir),
+                    0 if carried is None else carried[0],
+                    0 if carried is None else carried[1] + 1))]
+    for x, y in np.argwhere(world.obj == Obj.DOOR):
+        parts.append(bytes((int(x), int(y), int(world.state[x, y]))))
+    movable = ((world.obj == Obj.KEY) | (world.obj == Obj.BALL)
+               | (world.obj == Obj.BOX))
+    for x, y in np.argwhere(movable):
+        parts.append(bytes((int(x), int(y), int(world.obj[x, y]),
+                            int(world.color[x, y]))))
+    return b"".join(parts)
+
+
+class _ScalarWorker:
+    """One worker as the scalar Env ran it: its own layout and noise RNGs,
+    `layouts.generate`, `core.step`, the list flood, per-worker noise."""
+
+    def __init__(self, spec, seed):
+        self.spec = spec
+        self.layout_rng = np.random.default_rng(
+            np.random.SeedSequence([seed, 0]))
+        self.noise_rng = np.random.default_rng(
+            np.random.SeedSequence([seed, 1]))
+
+    def _result(self, reward, done):
+        spec = self.spec
+        obs = _scalar_observe(self.world, spec.view_size)
+        if spec.invisible_obstacles:
+            obs = hide_obstacles(obs)
+        net = apply_noise(obs, spec.noise_mu, spec.noise_sigma,
+                          self.noise_rng)
+        return obs, net, reward, done, _scalar_state_id(self.world)
+
+    def reset(self):
+        self.world = generate(self.spec,
+                              int(self.layout_rng.integers(2**31)))
+        return self._result(0.0, False)
+
+    def step(self, action):
+        reward, done = step(self.world, Action(action),
+                            self.spec.time_penalty_coef)
+        return self._result(reward, done)
+
+
+def _assert_rows_equal(batch, rows):
+    """A batched StepResult equals the scalar rows, bit for bit."""
+    assert batch.obs.dtype == np.uint8 and batch.net_obs.dtype == np.float32
+    assert len(batch.state) == len(rows)
+    for i, (obs, net, reward, done, sid) in enumerate(rows):
+        assert batch.obs[i].tobytes() == obs.tobytes()
+        assert batch.net_obs[i].tobytes() == net.tobytes()
+        assert batch.reward[i] == reward and batch.done[i] == done
+        assert batch.state[i] == sid
+
+
+_ENV_VARIANTS = {
+    "clean": {},
+    "noise0.3": dict(noise_sigma=0.3),
+    "invisible": dict(invisible_obstacles=True),
+    "view3": dict(view_size=3),
+}
+
+
+@pytest.mark.parametrize("variant", _ENV_VARIANTS)
+@pytest.mark.parametrize("task", TASKS)
+def test_batched_env_matches_scalar_stream(task, variant):
+    # short episodes so every worker resets several times; extra resets
+    # of random workers, in random order, cover partial batches
+    spec = EnvSpec(task, max_steps=25, **_ENV_VARIANTS[variant])
+    seeds = [3, 40, 41]
+    env = Env(spec, seeds)
+    ref = [_ScalarWorker(spec, seed) for seed in seeds]
+    _assert_rows_equal(env.reset(), [w.reset() for w in ref])
+    tape = np.random.default_rng(TASKS.index(task))
+    for _ in range(120):
+        actions = tape.integers(0, 7, size=len(seeds))
+        res = env.step(actions)
+        _assert_rows_equal(res, [w.step(a) for w, a in zip(ref, actions)])
+        again = [i for i in tape.permutation(len(seeds))
+                 if res.done[i] or tape.random() < 0.05]
+        if again:
+            _assert_rows_equal(env.reset(again), [ref[i].reset()
+                                                  for i in again])
+
+
+def test_batched_env_worlds_are_views_of_its_planes():
+    env = Env(EnvSpec("DoorKey8"), [1, 2])
+    env.reset()
+    world = env.worlds[1]
+    world.set_cell(2, 2, Obj.BALL, Color.RED)
+    assert env.planes[0, 1, 2, 2] == Obj.BALL
+    assert env.planes[1, 1, 2, 2] == Color.RED
+    assert not np.any(env.planes[0, 0] == Obj.BALL)
+
+
+def test_batched_env_step_before_reset_raises():
+    with pytest.raises(core.EnvError):
+        Env(EnvSpec("FourRooms"), [0]).step([0])
 
 
 # ---------------------------------------------------------------------------

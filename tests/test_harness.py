@@ -2,7 +2,6 @@
 the training loop's determinism/resume contract, and embedding probes."""
 import dataclasses
 import glob
-import hashlib
 import os
 
 import numpy as np
@@ -33,6 +32,8 @@ from gridexplore.harness.outputs import OutputError
 from gridexplore.harness.probes import embed_dataset
 from gridexplore.intrinsic import DiscModel
 from gridexplore.methods import METHODS
+from pinned_runs import DIGEST_CONFIGS, training_digest
+from pinned_runs import tiny_config as _tiny_config
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +256,11 @@ def test_config_record_renders_back_byte_for_byte(record):
     # a cached run is reused only if config_lines reproduces its record
     with open(record, encoding="utf-8") as fh:
         text = fh.read()
-    *pairs, seed_line = text.splitlines()
+    *pairs, seed_line, fingerprint_line = text.splitlines()
     cfg = load_config(overrides=parse_overrides(pairs))
-    assert "\n".join(config_lines(cfg) + [seed_line]) + "\n" == text
+    tail = [seed_line, fingerprint_line]
+    assert "\n".join(config_lines(cfg) + tail) + "\n" == text
+    assert fingerprint_line.startswith("fingerprint = ")
 
 
 def test_env_spec_translation():
@@ -407,14 +410,6 @@ def test_checkpoint_atomic_leaves_no_temp(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _tiny_config(**kw):
-    base = dict(task="MultiRoomN2S4", workers=2, rollout_steps=32,
-                minibatch=64, model_minibatch=64, embed_dim=8, hidden=16,
-                channels=(4, 8, 8), frames=64, seeds=(1,), method="DEIR")
-    base.update(kw)
-    return ExperimentConfig(**base)
-
-
 def _tuples(rows):
     return [dataclasses.astuple(r) for r in rows]
 
@@ -449,11 +444,7 @@ def test_trainer_resume_reproduces_next_rows(tmp_path, method, sigma):
     assert _tuples(rows) == _tuples(ref_rows[2:])
 
 
-# sha256 of the CSV a tiny run writes after 2 iterations: each method at
-# noise 0.1, DEIR in the ordering gates' harsh setting (view 3, which pads
-# the first conv, with hidden obstacles) and on DoorKey8, and PPO with one
-# segment per minibatch (at 64, one minibatch holds every segment, so the
-# order in which segments are gathered would go unseen)
+# sha256 of the CSV each case's tiny run writes (pinned_runs.py)
 _TRAINING_DIGESTS = {
     "DEIR": "e19ceb08b61b85629a098ecc0735b0707dd9c2480102475eba8496529760914b",
     "PlainNovelty":
@@ -472,27 +463,15 @@ _TRAINING_DIGESTS = {
     "NoIntrinsic-minibatch16":
         "7f20f7c90f4c40e91b6fe03e3371b90c8f45626772b7cba95cc66dc288582081",
 }
-_DIGEST_CONFIGS = {
-    **{method: dict(method=method, noise_sigma=0.1) for method in METHODS},
-    "DEIR-harsh": dict(view_size=3, noise_sigma=0.3, invisible_obstacles=True),
-    "DEIR-DoorKey8": dict(task="DoorKey8", noise_sigma=0.1),
-    "NoIntrinsic-minibatch16": dict(method="NoIntrinsic", minibatch=16),
-}
 
 
-@pytest.mark.parametrize("case", _DIGEST_CONFIGS)
-def test_training_digest_is_pinned(tmp_path, case):
-    t = Trainer(_tiny_config(**_DIGEST_CONFIGS[case]), 1)
-    rows = [t.train_iteration() for _ in range(2)]
-    path = str(tmp_path / "seed1.csv")
-    write_csv(path, rows)
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    assert digest == _TRAINING_DIGESTS[case], (
+@pytest.mark.parametrize("case", DIGEST_CONFIGS)
+def test_training_digest_is_pinned(case):
+    assert training_digest(case) == _TRAINING_DIGESTS[case], (
         f"{case}: the training numerics changed. If the change is deliberate, "
         "update the digest here; the cached 1M-frame runs under "
-        "tests/acceptance_runs/ are then stale and must be re-run "
-        "(ROADMAP item 5)."
+        "tests/acceptance_runs/ then fail their numerics fingerprint and "
+        "must be re-run."
     )
 
 

@@ -13,6 +13,7 @@ from gridexplore.ppo import (
     compute_gae,
     normalize_advantages,
     ppo_update,
+    sample_actions,
 )
 
 
@@ -137,20 +138,67 @@ def test_clipped_surrogate_is_pessimistic():
 
 
 # ---------------------------------------------------------------------------
+# Action sampling
+
+
+def _softmax_rows(logits, dtype):
+    """Rows normalized as `Collector.collect` normalizes them."""
+    logits = logits.astype(dtype)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1,
+                                                        keepdims=True)))
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sample_actions_equals_choice_loop(dtype):
+    src = np.random.default_rng(11)
+    loop_rng, batch_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for trial in range(400):
+        # from near-uniform to near-deterministic rows
+        probs = _softmax_rows(src.standard_normal((16, 7))
+                              * src.uniform(0.0, 40.0), dtype)
+        one_hot = src.choice(16, size=3, replace=False)
+        probs[one_hot] = 0.0
+        probs[one_hot, src.integers(0, 7, size=3)] = 1.0
+        expected = np.array([loop_rng.choice(7, p=p) for p in probs])
+        got = sample_actions(batch_rng, probs)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected), trial
+    assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", ["negative", "nan", "sum"])
+def test_sample_actions_rejects_invalid_probabilities(bad):
+    probs = np.full((2, 7), 1 / 7)
+    if bad == "negative":
+        probs[1, :2] = [-0.1, 0.1 + 1 / 7]
+    elif bad == "nan":
+        probs[1, 0] = np.nan
+    else:
+        probs[1] *= 1.01
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(7, p=probs[1])
+    with pytest.raises(ValueError):
+        sample_actions(np.random.default_rng(0), probs)
+
+
+# ---------------------------------------------------------------------------
 # End-to-end rollout + update on a tiny setup
 
 
 def _tiny_setup(method_name="NoIntrinsic", n_workers=2, seed=0):
     rng = np.random.default_rng(seed)
     spec = EnvSpec("MultiRoomN2S4")
-    envs = [Env(spec, 100 + w) for w in range(n_workers)]
+    env = Env(spec, [100 + w for w in range(n_workers)])
     policy = ActorCritic(7, 7, rng, embed_dim=8, hidden=16, channels=(4, 8, 8))
     method = make_method(
         method_name, n_workers, 7, 7, rng, embed_dim=8, hidden=16,
         channels=(4, 8, 8), norm="batch", lr=1e-3, adam_eps=1e-5,
         memory_capacity=64, queue_size=256, queue_smoothing=0.9,
     )
-    collector = Collector(envs, policy, method, np.random.default_rng(seed))
+    collector = Collector(env, policy, method, np.random.default_rng(seed))
     return policy, method, collector
 
 
