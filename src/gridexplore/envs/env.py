@@ -24,7 +24,7 @@ class StepResult:
     """One row per worker stepped or reset."""
 
     obs: np.ndarray  # (n, v, v, 3) uint8 after deterministic modifiers
-    net_obs: np.ndarray  # (n, v, v, 3) float32 network input (normalized + noise)
+    net_obs: np.ndarray  # (n, v, v, 3) float32 input: normalized + noise
     reward: np.ndarray  # (n,) float64
     done: np.ndarray  # (n,) bool
     state: list  # n full-state fingerprints (oracle use only)

@@ -247,8 +247,9 @@ def _record(cfg, seed):
     """The `.config` record of a run: its config, its seed and the
     numerics fingerprint of the code, the digest of its method's tiny
     pinned run (pinned_runs.py)."""
+    fingerprint = training_digest(cfg.method)
     lines = config_lines(cfg) + [f"seed = {seed}",
-                                 f"fingerprint = {training_digest(cfg.method)}"]
+                                 f"fingerprint = {fingerprint}"]
     return "\n".join(lines) + "\n"
 
 
