@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Probe trajectory embeddings for world facts on scripted DoorKey data.
 
-Loads the bonus-model encoder from a training checkpoint (or uses a frozen
-random one with --random), embeds scripted episodes, trains one small head
-per probe task, and prints validation losses.
+Loads the bonus model from a training checkpoint of any method whose
+model embeds trajectories (DEIR, PlainNovelty, ForwardError,
+InverseDriven), or uses a frozen random discriminator with --random;
+embeds scripted episodes, trains one small head per probe task, and
+prints validation losses.
 
 Usage:
     python3 scripts/probe.py --checkpoint runs/seed0.ckpt [--seed N]
@@ -19,6 +21,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from gridexplore.envs import N_ACTIONS, EnvSpec  # noqa: E402
 from gridexplore.harness import (  # noqa: E402
+    Trainer,
     collect_probe_dataset,
     load_checkpoint,
     load_config,
@@ -26,24 +29,19 @@ from gridexplore.harness import (  # noqa: E402
 )
 from gridexplore.harness.probes import embed_dataset  # noqa: E402
 from gridexplore.intrinsic import DiscModel  # noqa: E402
+from gridexplore.nn import EmbeddingModel  # noqa: E402
 
 
 def model_from_checkpoint(path):
-    meta, arrays = load_checkpoint(path)
+    meta, _ = load_checkpoint(path)
     cfg = load_config(None, dict(
         line.split(" = ", 1) for line in meta["config"]
     ))
-    rng = np.random.default_rng(0)
-    model = DiscModel(cfg.view_size, N_ACTIONS, rng, embed_dim=cfg.embed_dim,
-                      hidden=cfg.hidden, channels=tuple(cfg.channels),
-                      norm=cfg.norm)
-    prefix = "m.bonus_model."
-    state = {k[len(prefix):]: v for k, v in arrays.items()
-             if k.startswith(prefix)}
-    if not state:
-        raise SystemExit(f"{path} holds no bonus-model weights "
-                         f"(method without a discriminator?)")
-    model.load_state(state)
+    method = Trainer(cfg, meta["seed"]).load(path).method
+    model = getattr(method, "model", None)
+    if not isinstance(model, EmbeddingModel):
+        raise SystemExit(f"{path}: method {cfg.method} has no "
+                         "trajectory-embedding model to probe")
     return model, cfg
 
 

@@ -19,8 +19,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from gridexplore.harness import (  # noqa: E402
     ConfigError,
-    Trainer,
-    aggregate_csv,
     load_config,
     parse_overrides,
     run_experiment,
@@ -53,21 +51,9 @@ def main(argv=None):
     except ConfigError as exc:
         parser.error(str(exc))
 
-    progress = not args.quiet
-    if args.seed is not None:
-        os.makedirs(config.out, exist_ok=True)
-        trainer = Trainer(config, args.seed)
-        ckpt = os.path.join(config.out, f"seed{args.seed}.ckpt")
-        if args.resume:
-            trainer.load(args.resume)
-        csv_path = os.path.join(config.out, f"seed{args.seed}.csv")
-        trainer.run(csv_path=csv_path, checkpoint_path=ckpt,
-                    progress=progress)
-        aggregate_csv(os.path.join(config.out, "aggregate.csv"), [csv_path])
-    else:
-        if args.resume:
-            parser.error("--resume requires --seed")
-        run_experiment(config, progress=progress)
+    if args.resume and args.seed is None:
+        parser.error("--resume requires --seed")
+    run_experiment(config, progress=not args.quiet, resume=args.resume)
 
 
 if __name__ == "__main__":

@@ -13,12 +13,11 @@ from .core import (
     GridWorld,
     Obj,
     observe,
-    render_ascii,
     state_id,
     step,
 )
 from .env import Env, StepResult
-from .layouts import default_max_steps, generate
+from .layouts import episode_steps, generate
 from .modifiers import apply_noise, hide_obstacles, normalize_obs
 from .solver import solve
 
@@ -39,12 +38,11 @@ __all__ = [
     "Obj",
     "StepResult",
     "apply_noise",
-    "default_max_steps",
+    "episode_steps",
     "generate",
     "hide_obstacles",
     "normalize_obs",
     "observe",
-    "render_ascii",
     "solve",
     "state_id",
     "step",

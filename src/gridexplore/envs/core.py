@@ -56,6 +56,9 @@ class Action(IntEnum):
 N_ACTIONS = 7
 FLOOR_COLOR = Color.BLUE  # used when obstacles are hidden
 
+# cells an agent can always enter; a door only when open
+WALKABLE = (Obj.EMPTY, Obj.FLOOR, Obj.GOAL)
+
 DIR_VEC = {
     Dir.EAST: (1, 0),
     Dir.SOUTH: (0, 1),
@@ -148,7 +151,7 @@ class GridWorld:
         # cells are read as ints: a uint8 scalar compares ~10x slower
         # against an IntEnum than an int does
         o = int(self.obj[x, y])
-        if o in (Obj.EMPTY, Obj.FLOOR, Obj.GOAL):
+        if o in WALKABLE:
             return True
         return o == Obj.DOOR and int(self.state[x, y]) == DoorState.OPEN
 
@@ -365,31 +368,3 @@ def state_id(world: GridWorld) -> bytes:
     """Fingerprint of one world's full state (see `state_id_batch`)."""
     return state_id_batch(_planes(world), [world])[0]
 
-
-_GLYPHS = {
-    int(Obj.EMPTY): ".",
-    int(Obj.WALL): "#",
-    int(Obj.FLOOR): "_",
-    int(Obj.KEY): "k",
-    int(Obj.BALL): "o",
-    int(Obj.BOX): "b",
-    int(Obj.GOAL): "G",
-    int(Obj.UNSEEN): "?",
-}
-_AGENT_GLYPHS = {Dir.EAST: ">", Dir.SOUTH: "v", Dir.WEST: "<", Dir.NORTH: "^"}
-
-
-def render_ascii(world: GridWorld) -> str:
-    rows = []
-    for y in range(world.height):
-        row = []
-        for x in range(world.width):
-            if (x, y) == world.agent_pos:
-                row.append(_AGENT_GLYPHS[world.agent_dir])
-            elif world.obj[x, y] == Obj.DOOR:
-                st = world.state[x, y]
-                row.append({0: "/", 1: "+", 2: "L"}[int(st)])
-            else:
-                row.append(_GLYPHS.get(int(world.obj[x, y]), "?"))
-        rows.append("".join(row))
-    return "\n".join(rows)

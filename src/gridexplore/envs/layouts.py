@@ -1,6 +1,8 @@
 # Seed-driven layout generation for each task.
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .core import (
@@ -16,59 +18,32 @@ from .core import (
 
 RETRY_BUDGET = 100
 
-_MULTIROOM = {
-    # task -> (num rooms, max room side incl. walls, grid side)
-    "MultiRoomN2S4": (2, 4, 25),
-    "MultiRoomN4S5": (4, 5, 25),
-    "MultiRoomN6": (6, 10, 25),
-    "MultiRoomN30": (30, 6, 45),
-}
 
-
-def default_max_steps(task: str) -> int:
-    if task in _MULTIROOM:
-        return 20 * _MULTIROOM[task][0]
-    if task == "FourRooms":
-        return 100
-    if task == "DoorKey8":
-        return 10 * 8 * 8
-    if task == "DoorKey16":
-        return 10 * 16 * 16
-    raise ValueError(task)
+def episode_steps(spec: EnvSpec) -> int:
+    """spec's episode length: its max_steps, else its task's default."""
+    return spec.max_steps or LAYOUTS[spec.task][1]
 
 
 def generate(spec: EnvSpec, seed: int) -> GridWorld:
     """Build a solvable layout; identical (spec, seed) gives identical worlds."""
-    rng = np.random.default_rng(np.random.SeedSequence([TASKS.index(spec.task), seed]))
-    max_steps = spec.max_steps or default_max_steps(spec.task)
+    rng = np.random.default_rng(
+        np.random.SeedSequence([TASKS.index(spec.task), seed]))
+    build = LAYOUTS[spec.task][0]
+    max_steps = episode_steps(spec)
     for _ in range(RETRY_BUDGET):
-        if spec.task == "FourRooms":
-            world = _four_rooms(rng, max_steps)
-        elif spec.task in _MULTIROOM:
-            world = _multi_room(rng, max_steps, *_MULTIROOM[spec.task][:2],
-                                grid=_MULTIROOM[spec.task][2])
-        elif spec.task == "DoorKey8":
-            world = _door_key(rng, max_steps, 8)
-        elif spec.task == "DoorKey16":
-            world = _door_key(rng, max_steps, 16)
-        else:
-            raise ValueError(spec.task)
+        world = build(rng, max_steps)
         if world is not None:
             return world
     raise GenerationError(f"no valid layout for {spec.task} in {RETRY_BUDGET} tries")
 
 
-def _rand_empty(rng, world, x0, y0, x1, y1, forbid=()):
+def _rand_empty(rng, world, x0, y0, x1, y1):
     """Random empty cell in [x0,x1) x [y0,y1), None if the box is full."""
-    cells = [
-        (x, y)
-        for x in range(x0, x1)
-        for y in range(y0, y1)
-        if world.obj[x, y] == Obj.EMPTY and (x, y) not in forbid
-    ]
-    if not cells:
+    xs, ys = np.nonzero(world.obj[x0:x1, y0:y1] == Obj.EMPTY)
+    if not len(xs):
         return None
-    return cells[rng.integers(len(cells))]
+    i = rng.integers(len(xs))
+    return x0 + int(xs[i]), y0 + int(ys[i])
 
 
 def _four_rooms(rng, max_steps):
@@ -92,7 +67,7 @@ def _four_rooms(rng, max_steps):
     return world
 
 
-def _door_key(rng, max_steps, size):
+def _door_key(size, rng, max_steps):
     world = GridWorld.empty(size, size, max_steps)
     split = int(rng.integers(2, size - 2))
     world.obj[split, 1:-1] = Obj.WALL
@@ -110,7 +85,7 @@ def _door_key(rng, max_steps, size):
     return world
 
 
-def _multi_room(rng, max_steps, n_rooms, max_size, grid):
+def _multi_room(n_rooms, max_size, grid, rng, max_steps):
     world = GridWorld.empty(grid, grid, max_steps)
     world.obj[:, :] = Obj.WALL  # carve rooms out of solid rock
     rooms = _place_rooms(rng, grid, n_rooms, max_size)
@@ -141,6 +116,20 @@ def _multi_room(rng, max_steps, n_rooms, max_size, grid):
     world.agent_pos = agent
     world.agent_dir = Dir(rng.integers(4))
     return world
+
+
+# task -> (builder(rng, max_steps), default episode length). A MultiRoom
+# builder is bound to (rooms, max room side incl. walls, grid side); the
+# defaults are 20 steps per room and 10 per cell of a DoorKey grid.
+LAYOUTS = {
+    "FourRooms": (_four_rooms, 100),
+    "MultiRoomN2S4": (partial(_multi_room, 2, 4, 25), 40),
+    "MultiRoomN4S5": (partial(_multi_room, 4, 5, 25), 80),
+    "MultiRoomN6": (partial(_multi_room, 6, 10, 25), 120),
+    "MultiRoomN30": (partial(_multi_room, 30, 6, 45), 600),
+    "DoorKey8": (partial(_door_key, 8), 640),
+    "DoorKey16": (partial(_door_key, 16), 2560),
+}
 
 
 def _place_rooms(rng, grid, n_rooms, max_size):

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import DIR_VEC, Action, Dir, DoorState, GridWorld, Obj
+import numpy as np
+
+from .core import DIR_VEC, WALKABLE, Action, Dir, DoorState, GridWorld, Obj
 
 _TURNS = (Action.TURN_LEFT, Action.TURN_RIGHT)
 MAX_NODES = 500_000  # search budget; past it the world counts as unsolved
@@ -23,11 +25,7 @@ def solve(world: GridWorld):
     Returns None when the goal is unreachable (or the node budget runs
     out). Ignores max_steps: solvability means a goal path exists.
     """
-    walkable = (
-        (world.obj == Obj.EMPTY)
-        | (world.obj == Obj.FLOOR)
-        | (world.obj == Obj.GOAL)
-    )
+    walkable = np.isin(world.obj, WALKABLE)
     goal = world.obj == Obj.GOAL
     doors = {}  # pos -> (index, color, initially_open)
     for i, (x, y) in enumerate(

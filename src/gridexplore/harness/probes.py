@@ -44,6 +44,7 @@ def _grid_distance(world, target_obj):
     start = world.agent_pos
     if start in targets:
         return 0.0
+    wall = (world.obj == Obj.WALL).tolist()
     seen = {start}
     frontier = deque([(start, 0)])
     while frontier:
@@ -52,7 +53,7 @@ def _grid_distance(world, target_obj):
             nx, ny = x + dx, y + dy
             if not (0 <= nx < world.width and 0 <= ny < world.height):
                 continue
-            if (nx, ny) in seen or world.obj[nx, ny] == Obj.WALL:
+            if (nx, ny) in seen or wall[nx][ny]:
                 continue
             if (nx, ny) in targets:
                 return min((d + 1) / (world.width + world.height), 1.0)

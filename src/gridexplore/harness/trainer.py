@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from ..envs import N_ACTIONS, EnvError, Env, default_max_steps
+from ..envs import N_ACTIONS, EnvError, Env, episode_steps
 from ..intrinsic import IRNormState, normalize_ir
 from ..methods import make_method
 from ..nn import Adam
@@ -46,7 +46,7 @@ class Trainer:
         )
         self.policy.eval()
         self.opt = Adam(self.policy.parameters(), lr=cfg.lr, eps=cfg.adam_eps)
-        memory_capacity = (cfg.max_steps or default_max_steps(cfg.task)) + 2
+        memory_capacity = episode_steps(spec) + 2
         self.method = make_method(
             cfg.method, cfg.workers, spec.view_size, N_ACTIONS, _rng(seed, 2),
             embed_dim=cfg.embed_dim, hidden=cfg.hidden,
@@ -240,14 +240,23 @@ class Trainer:
         return self
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, progress=False):
-    """Train every seed in the config; emit per-seed and aggregate CSVs."""
+def run_experiment(config: ExperimentConfig, out_dir=None, progress=False,
+                   resume=None):
+    """Train every seed in the config; emit per-seed and aggregate CSVs.
+
+    `resume` is a checkpoint to continue from; the config must then name
+    one seed, the checkpoint's.
+    """
+    if resume and len(config.seeds) != 1:
+        raise ValueError("resuming needs a config of exactly one seed")
     out_dir = out_dir or config.out
     os.makedirs(out_dir, exist_ok=True)
     seed_paths = []
     all_rows = {}
     for seed in config.seeds:
         trainer = Trainer(config, seed)
+        if resume:
+            trainer.load(resume)
         csv_path = os.path.join(out_dir, f"seed{seed}.csv")
         ckpt = os.path.join(out_dir, f"seed{seed}.ckpt")
         rows = trainer.run(csv_path=csv_path, checkpoint_path=ckpt,

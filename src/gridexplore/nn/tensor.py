@@ -169,11 +169,8 @@ class Tensor:
         return self._make(out_data, (self,), backward)
 
     def sigmoid(self):
-        out_data = np.where(
-            self.data >= 0,
-            1.0 / (1.0 + np.exp(-np.abs(self.data))),
-            np.exp(-np.abs(self.data)) / (1.0 + np.exp(-np.abs(self.data))),
-        )
+        z = np.exp(-np.abs(self.data))
+        out_data = np.where(self.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
         def backward(out):
             self._accum(out_data * (1 - out_data) * out.grad)
@@ -362,10 +359,7 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
         for t, g in zip(tensors, np.split(out.grad, splits, axis=axis)):
             t._accum(g)
 
-    out = Tensor(out_data, tuple(tensors))
-    if Tensor._grad_enabled:
-        out._backward = backward
-    return out
+    return tensors[0]._make(out_data, tuple(tensors), backward)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, k: int) -> Tensor:

@@ -4,7 +4,9 @@ The sha256 of the CSV a tiny run writes after 2 iterations pins the
 training numerics of each case (`test_training_digest_is_pinned` in
 test_harness.py). The digest of a method's own case also fingerprints
 the numerics a cached acceptance run was trained under
-(`_run_cached` in test_acceptance.py).
+(`_run_cached` in test_acceptance.py). The sha256 of the checkpoint the
+same case writes with a 16-row queue pins the checkpoint format
+(`test_checkpoint_digest_is_pinned`).
 """
 import functools
 import hashlib
@@ -36,6 +38,11 @@ DIGEST_CONFIGS = {
 }
 
 
+def _file_digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 @functools.cache
 def training_digest(case):
     """sha256 of the CSV of case's tiny run, seed 1, 2 iterations."""
@@ -44,5 +51,16 @@ def training_digest(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "seed1.csv")
         write_csv(path, rows)
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
+        return _file_digest(path)
+
+
+def checkpoint_digest(case):
+    """sha256 of the checkpoint of case's tiny run with a 16-row queue,
+    which wraps within the 2 iterations, saved after them."""
+    t = Trainer(tiny_config(**DIGEST_CONFIGS[case], queue_size=16), 1)
+    for _ in range(2):
+        t.train_iteration()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "seed1.ckpt")
+        t.save(path)
+        return _file_digest(path)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from gridexplore.envs import (
     hide_obstacles,
     normalize_obs,
     observe,
-    render_ascii,
     solve,
     state_id,
     step,
@@ -115,6 +116,27 @@ def test_agent_never_starts_on_wall_or_goal():
         for seed in range(10):
             w = generate(EnvSpec(task), seed)
             assert w.obj[w.agent_pos] == Obj.EMPTY
+
+
+# sha256 over every task, the default and an explicit episode length, and
+# seeds 0-49: planes, grid size, agent pose, direction and max_steps
+_LAYOUT_DIGEST = (
+    "769254f6bc9d295672e34b2192a048ea0a47f917a0bc6d85a90353c6dab2626e")
+
+
+def test_layouts_are_pinned():
+    h = hashlib.sha256()
+    for task in TASKS:
+        for max_steps in (None, 25):
+            for seed in range(50):
+                w = generate(EnvSpec(task, max_steps=max_steps), seed)
+                h.update(np.stack((w.obj, w.color, w.state)).tobytes())
+                h.update(np.array([w.width, w.height, *w.agent_pos,
+                                   w.agent_dir, w.max_steps],
+                                  np.int64).tobytes())
+    assert h.hexdigest() == _LAYOUT_DIGEST, (
+        "generated layouts changed; every cached run and pinned training "
+        "digest depends on them")
 
 
 # ---------------------------------------------------------------------------
@@ -682,11 +704,3 @@ def test_observation_channels_within_enum_ranges(seed, task):
     o = observe(w, EnvSpec(task))
     assert o[..., 0].max() <= 10 and o[..., 1].max() <= 5
     assert o[..., 2].max() <= 2
-
-
-def test_render_ascii_shape_and_agent():
-    w = generate(EnvSpec("FourRooms"), 0)
-    text = render_ascii(w)
-    lines = text.splitlines()
-    assert len(lines) == w.height and all(len(l) == w.width for l in lines)
-    assert sum(text.count(g) for g in "><^v") == 1

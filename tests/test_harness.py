@@ -32,7 +32,7 @@ from gridexplore.harness.outputs import OutputError
 from gridexplore.harness.probes import embed_dataset
 from gridexplore.intrinsic import DiscModel
 from gridexplore.methods import METHODS
-from pinned_runs import DIGEST_CONFIGS, training_digest
+from pinned_runs import DIGEST_CONFIGS, checkpoint_digest, training_digest
 from pinned_runs import tiny_config as _tiny_config
 
 
@@ -473,6 +473,34 @@ def test_training_digest_is_pinned(case):
         "tests/acceptance_runs/ then fail their numerics fingerprint and "
         "must be re-run."
     )
+
+
+# sha256 of the checkpoint each case's tiny run writes (pinned_runs.py)
+_CHECKPOINT_DIGESTS = {
+    "DEIR": "d0a295dc0d8ac11ce72337d28f94dd62f4f08646a42ff6b2e5b30cb67e5c8a68",
+    "PlainNovelty":
+        "4ecdb3505c3cc87eb76267ace07fae9f253d392e073f763dfabe4ca9e86e063a",
+    "ForwardError":
+        "e168c27a8861c5e6ae88a6e4b1d912d709df4019b8f37d14d09e36e47c0a61ca",
+    "InverseDriven":
+        "2dc1d261bc62bd62e59491028ed9d1b26b1703c2e077b3e0c7aa14c8c996cf7f",
+    "RND": "574bc0772c1e8c69ce5a7f7a8e02828a9d724e9a6cc66a95ec428163cbfedde8",
+    "NoIntrinsic":
+        "bf5aae0c47e28a9a7e2334fa9ec6137ae0a0cd64590aa40a3c830850ff63d7ab",
+    "DEIR-harsh":
+        "c83277258bfa553e57866ff4e70542debe732536a4cc2985869325653a5590f0",
+    "DEIR-DoorKey8":
+        "bd6327056d4e3ad371dfd112c69243ea6e9a0397ac0da8dc56643809bdd26442",
+    "NoIntrinsic-minibatch16":
+        "7cd2ca2e5f321e3abc79088ab2d2ec8d6f7a552da998fb3f4ebeed17bde5fe6d",
+}
+
+
+@pytest.mark.parametrize("case", DIGEST_CONFIGS)
+def test_checkpoint_digest_is_pinned(case):
+    assert checkpoint_digest(case) == _CHECKPOINT_DIGESTS[case], (
+        f"{case}: the checkpoint bytes changed; older checkpoints may no "
+        "longer load or resume exactly")
 
 
 def test_trainer_load_rejects_config_and_seed_mismatch(tmp_path):
