@@ -8,12 +8,12 @@ import pytest
 from pinned_runs import tiny_config
 
 from gridexplore.harness import PROBE_TASKS, Trainer
+from gridexplore.harness.config import config_lines
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
-# tiny_config() as command-line overrides
-TINY = ["env.task=MultiRoomN2S4", "ppo.workers=2", "ppo.rollout_steps=32",
-        "ppo.minibatch=64", "deir.model_minibatch=64", "ppo.embed_dim=8",
-        "ppo.hidden=16", "ppo.channels=4,8,8"]
+# tiny_config() as command-line overrides; --seed, --frames and --out
+# take precedence over them
+TINY = [line.replace(" = ", "=", 1) for line in config_lines(tiny_config())]
 
 
 def _run(script, *args):
