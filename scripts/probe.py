@@ -3,9 +3,10 @@
 
 Loads the bonus model from a training checkpoint of any method whose
 model embeds trajectories (DEIR, PlainNovelty, ForwardError,
-InverseDriven), or uses a frozen random discriminator with --random;
-embeds scripted episodes, trains one small head per probe task, and
-prints validation losses.
+InverseDriven), or uses a frozen random DEIR discriminator of the
+default config with --random; embeds scripted episodes of --task in the
+environment the model was trained in (view, noise, hidden obstacles),
+trains one small head per probe task, and prints validation losses.
 
 Usage:
     python3 scripts/probe.py --checkpoint runs/seed0.ckpt [--seed N]
@@ -14,35 +15,19 @@ Usage:
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from gridexplore.envs import N_ACTIONS, EnvSpec  # noqa: E402
 from gridexplore.harness import (  # noqa: E402
+    ExperimentConfig,
     Trainer,
-    collect_probe_dataset,
-    load_checkpoint,
-    load_config,
-    probe_embeddings,
+    probe_losses,
 )
-from gridexplore.harness.probes import embed_dataset  # noqa: E402
-from gridexplore.intrinsic import DiscModel  # noqa: E402
+from gridexplore.methods import make_method  # noqa: E402
 from gridexplore.nn import EmbeddingModel  # noqa: E402
-
-
-def model_from_checkpoint(path):
-    meta, _ = load_checkpoint(path)
-    cfg = load_config(None, dict(
-        line.split(" = ", 1) for line in meta["config"]
-    ))
-    method = Trainer(cfg, meta["seed"]).load(path).method
-    model = getattr(method, "model", None)
-    if not isinstance(model, EmbeddingModel):
-        raise SystemExit(f"{path}: method {cfg.method} has no "
-                         "trajectory-embedding model to probe")
-    return model, cfg
 
 
 def main(argv=None):
@@ -57,18 +42,19 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.checkpoint:
-        model, cfg = model_from_checkpoint(args.checkpoint)
-        spec = EnvSpec(task=args.task, view_size=cfg.view_size)
+        trainer = Trainer.from_checkpoint(args.checkpoint)
+        cfg, method = trainer.config, trainer.method
     else:
-        rng = np.random.default_rng(args.seed)
-        model = DiscModel(7, N_ACTIONS, rng)
-        spec = EnvSpec(task=args.task)
+        cfg = ExperimentConfig(task=args.task)
+        method = make_method(cfg, np.random.default_rng(args.seed), 1)
+    model = getattr(method, "model", None)
+    if not isinstance(model, EmbeddingModel):
+        raise SystemExit(f"{args.checkpoint}: method {cfg.method} has no "
+                         "trajectory-embedding model to probe")
 
-    data = collect_probe_dataset(spec, args.seed, episodes=args.episodes)
-    embeddings, labels = embed_dataset(model, data)
-    losses = probe_embeddings(embeddings, labels,
-                              np.random.default_rng(args.seed))
-    for name, loss in losses.items():
+    spec = replace(cfg.env_spec(), task=args.task)
+    for name, loss in probe_losses(model, spec, args.seed,
+                                   args.episodes).items():
         print(f"{name}: {loss:.6g}")
 
 

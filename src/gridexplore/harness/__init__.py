@@ -3,7 +3,8 @@ from .metrics import ExplorationTracker, MetricRow, exploration_metrics
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .trainer import Trainer, run_experiment
 from .outputs import aggregate_csv, write_csv
-from .probes import PROBE_TASKS, collect_probe_dataset, probe_embeddings
+from .probes import (PROBE_TASKS, collect_probe_dataset, probe_embeddings,
+                     probe_losses)
 
 __all__ = [
     "PROBE_TASKS",
@@ -20,6 +21,7 @@ __all__ = [
     "load_config",
     "parse_overrides",
     "probe_embeddings",
+    "probe_losses",
     "run_experiment",
     "save_checkpoint",
     "write_csv",

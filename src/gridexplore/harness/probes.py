@@ -149,3 +149,11 @@ def probe_embeddings(embeddings, labels, rng, epochs=40):
                 val = float(((out.data - y[val_idx]) ** 2).mean())
         results[name] = val
     return results
+
+
+def probe_losses(model, spec, seed, episodes=40):
+    """Validation loss per probe task for `model`'s trajectory embeddings
+    of `episodes` scripted episodes in `spec`."""
+    data = collect_probe_dataset(spec, seed, episodes=episodes)
+    embeddings, labels = embed_dataset(model, data)
+    return probe_embeddings(embeddings, labels, np.random.default_rng(seed))

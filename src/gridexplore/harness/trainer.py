@@ -7,21 +7,19 @@ import time
 
 import numpy as np
 
-from ..envs import N_ACTIONS, EnvError, Env, episode_steps
-from ..intrinsic import IRNormState, normalize_ir
+from ..envs import N_ACTIONS, EnvError, Env
 from ..methods import make_method
 from ..nn import Adam
 from ..ppo import (
     ActorCritic,
-    AdvNormState,
     Collector,
+    EmaStandardizer,
     combine_rewards,
     compute_gae,
-    normalize_advantages,
     ppo_update,
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, config_lines
+from .config import ExperimentConfig, config_lines, load_config
 from .metrics import ExplorationTracker, MetricRow
 from .outputs import aggregate_csv, write_csv
 
@@ -46,21 +44,14 @@ class Trainer:
         )
         self.policy.eval()
         self.opt = Adam(self.policy.parameters(), lr=cfg.lr, eps=cfg.adam_eps)
-        memory_capacity = episode_steps(spec) + 2
-        self.method = make_method(
-            cfg.method, cfg.workers, spec.view_size, N_ACTIONS, _rng(seed, 2),
-            embed_dim=cfg.embed_dim, hidden=cfg.hidden,
-            channels=cfg.channels, norm=cfg.norm, lr=cfg.method_lr,
-            adam_eps=cfg.adam_eps, memory_capacity=memory_capacity,
-            queue_size=cfg.queue_size, queue_smoothing=cfg.queue_smoothing,
-        )
+        self.method = make_method(cfg, _rng(seed, 2), cfg.workers)
         env = Env(spec, [seed * 100_000 + w for w in range(cfg.workers)])
         self.collector = Collector(env, self.policy, self.method,
                                    _rng(seed, 3))
         self.update_rng = _rng(seed, 4)
         self.method_rng = _rng(seed, 5)
-        self.ir_state = IRNormState(momentum=cfg.ir_momentum)
-        self.adv_state = AdvNormState(momentum=cfg.adv_momentum)
+        self.ir_norm = EmaStandardizer(momentum=cfg.ir_momentum)
+        self.adv_norm = EmaStandardizer(momentum=cfg.adv_momentum)
         self.tracker = ExplorationTracker(cfg.workers)
         self.beta = 0.0 if cfg.method == "NoIntrinsic" else cfg.beta
         self.frames = 0
@@ -73,12 +64,13 @@ class Trainer:
         cfg = self.config
         buf = self.collector.collect(cfg.rollout_steps)
         raw = buf.raw_ir
-        norm_ir = normalize_ir(raw.reshape(-1), self.ir_state).reshape(raw.shape)
-        rewards = combine_rewards(buf.ext_rewards, norm_ir,
+        rewards = combine_rewards(buf.ext_rewards, self.ir_norm(raw),
                                   cfg.ext_coef, self.beta)
+        self.ir_norm.update(raw)
         adv, ret = compute_gae(rewards, buf.values, buf.dones, buf.bootstrap,
                                cfg.gamma, cfg.gae_lambda)
-        buf.advantages = normalize_advantages(adv, self.adv_state)
+        self.adv_norm.update(adv)
+        buf.advantages = self.adv_norm(adv)
         buf.returns = ret
         stats = ppo_update(
             self.policy, self.opt, buf, self.update_rng, clip=cfg.clip,
@@ -138,6 +130,13 @@ class Trainer:
 
     # -- exact-resume checkpointing ---------------------------------------
 
+    def _parts(self):
+        """(checkpoint prefix, part) of every network and optimizer."""
+        m = self.method
+        return [("policy.", self.policy), ("popt.", self.opt),
+                *((f"m.{k}.", v) for k, v in m.modules().items()),
+                *((f"mo.{k}.", v) for k, v in m.optimizers().items())]
+
     def save(self, path):
         c = self.collector
         meta = {
@@ -158,20 +157,13 @@ class Trainer:
             "collector_rng": c.rng.bit_generator.state,
             "update_rng": self.update_rng.bit_generator.state,
             "method_rng": self.method_rng.bit_generator.state,
-            "ir_state": [self.ir_state.mean, self.ir_state.std],
-            "adv_state": [self.adv_state.mean, self.adv_state.std],
+            "ir_state": [self.ir_norm.mean, self.ir_norm.std],
+            "adv_state": [self.adv_norm.mean, self.adv_norm.std],
         }
         arrays = {}
-        for name, arr in self.policy.state_arrays().items():
-            arrays["policy." + name] = arr
-        arrays.update(self.opt.state_arrays("popt."))
-        for mname, module in self.method.modules().items():
-            for name, arr in module.state_arrays().items():
-                arrays[f"m.{mname}.{name}"] = arr
-        for oname, opt in self.method.optimizers().items():
-            arrays.update(opt.state_arrays(f"mo.{oname}."))
-        for name, arr in self.method.extra_arrays().items():
-            arrays["mx." + name] = arr
+        for prefix, part in self._parts():
+            arrays.update(part.state_arrays(prefix))
+        arrays.update(self.method.extra_arrays("mx."))
         arrays["collector.cur_obs"] = c.cur_obs
         arrays["collector.policy_hidden"] = c.policy_hidden
         meta["envs"], planes = c.env.dump_state()
@@ -184,8 +176,19 @@ class Trainer:
                   "run.log_every = ")
 
     def load(self, path):
-        meta, arrays = load_checkpoint(path)
+        """Restore this trainer from a checkpoint of its config and seed."""
+        return self._restore(*load_checkpoint(path))
 
+    @classmethod
+    def from_checkpoint(cls, path):
+        """A trainer of the config and seed a checkpoint records, restored
+        from it; the file is read once."""
+        meta, arrays = load_checkpoint(path)
+        cfg = load_config(None, dict(line.split(" = ", 1)
+                                     for line in meta["config"]))
+        return cls(cfg, meta["seed"])._restore(meta, arrays)
+
+    def _restore(self, meta, arrays):
         def essential(lines):
             return [l for l in lines if not l.startswith(self._RESUMABLE)]
 
@@ -193,20 +196,11 @@ class Trainer:
             raise CheckpointError("checkpoint config differs from current")
         if meta["seed"] != self.seed:
             raise CheckpointError("checkpoint seed differs from current")
-
-        def sub(prefix):
-            n = len(prefix)
-            return {k[n:]: v for k, v in arrays.items() if k.startswith(prefix)}
-
         try:
-            self.policy.load_state(sub("policy."))
-            self.opt.load_state(arrays, "popt.")
-            for mname, module in self.method.modules().items():
-                module.load_state(sub(f"m.{mname}."))
-            for oname, opt in self.method.optimizers().items():
-                opt.load_state(arrays, f"mo.{oname}.")
+            for prefix, part in self._parts():
+                part.load_state(arrays, prefix)
             self.collector.env.load_state(meta["envs"], arrays)
-            self.method.load_extra(sub("mx."))
+            self.method.load_extra(arrays, "mx.")
         except KeyError as exc:
             raise CheckpointError(f"missing checkpoint array {exc}") from exc
         except EnvError as exc:
@@ -230,8 +224,8 @@ class Trainer:
         c.rng.bit_generator.state = meta["collector_rng"]
         self.update_rng.bit_generator.state = meta["update_rng"]
         self.method_rng.bit_generator.state = meta["method_rng"]
-        self.ir_state.mean, self.ir_state.std = meta["ir_state"]
-        self.adv_state.mean, self.adv_state.std = meta["adv_state"]
+        self.ir_norm.mean, self.ir_norm.std = meta["ir_state"]
+        self.adv_norm.mean, self.adv_norm.std = meta["adv_state"]
         self.frames = meta["frames"]
         self.iteration = meta["iteration"]
         # metric rows before the checkpoint are not replayed; resumed rows

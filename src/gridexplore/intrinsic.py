@@ -14,7 +14,6 @@ drawn from a queue of recent novel observations.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,27 +181,6 @@ def sample_negative(q: ObservationQueue, true_next, rng):
         if not np.array_equal(item[0], true_next):
             return item
     return None
-
-
-# ---------------------------------------------------------------------------
-# Reward normalization
-
-
-@dataclass
-class IRNormState:
-    mean: float = 0.0
-    std: float = 1.0
-    momentum: float = 0.9
-
-
-def normalize_ir(raw: np.ndarray, state: IRNormState) -> np.ndarray:
-    """(r - mu)/sigma with EMA statistics; updates the state afterwards
-    from this batch's raw rewards."""
-    out = (raw - state.mean) / max(state.std, 1e-8)
-    m = state.momentum
-    state.mean = m * state.mean + (1.0 - m) * float(raw.mean())
-    state.std = m * state.std + (1.0 - m) * float(raw.std())
-    return out
 
 
 # ---------------------------------------------------------------------------

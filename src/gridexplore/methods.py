@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import ForwardModel, InverseModel, RndModel, forward_error
-from .envs import N_ACTIONS
+from .envs import N_ACTIONS, episode_steps
 from .intrinsic import (
     DiscModel,
     EpisodicMemory,
@@ -22,9 +22,6 @@ from .intrinsic import (
 )
 from .nn import Adam, Tensor, no_grad
 
-METHODS = ("DEIR", "PlainNovelty", "ForwardError", "InverseDriven", "RND",
-           "NoIntrinsic")
-
 _ONE_HOT = np.eye(N_ACTIONS, dtype=np.float32)
 
 
@@ -34,7 +31,7 @@ class NoIntrinsic:
     name = "NoIntrinsic"
     hidden_dim = 1
 
-    def __init__(self, n_workers, **_):
+    def __init__(self, cfg, rng, n_workers):
         self.n_workers = n_workers
 
     def start(self, obs):
@@ -58,29 +55,32 @@ class NoIntrinsic:
     def optimizers(self):
         return {}
 
-    def extra_arrays(self):
+    def extra_arrays(self, prefix=""):
         return {}
 
-    def load_extra(self, arrays):
+    def load_extra(self, arrays, prefix=""):
         pass
 
 
 class _ModelMethod(NoIntrinsic):
     """A bonus from one trained model: its optimizer and its fit loop.
 
-    Subclasses choose the batches of one epoch (`_epoch`) and the loss of
-    one batch (`_loss`).
+    Subclasses build the model from the config (`_model`) and choose the
+    batches of one epoch (`_epoch`) and the loss of one batch (`_loss`).
     """
 
     batch_keys = ("obs_t", "obs_next", "action")
 
-    def __init__(self, n_workers, model, lr, adam_eps, params=None):
+    def __init__(self, cfg, rng, n_workers):
         self.n_workers = n_workers
-        self.model = model
-        if params is None:
-            params = model.parameters()
-        self.opt = Adam(params, lr=lr, eps=adam_eps)
+        self.model = self._model(cfg, rng)
+        self.opt = Adam(self._trained_parameters(), lr=cfg.method_lr,
+                        eps=cfg.adam_eps)
         self.model.eval()
+
+    def _trained_parameters(self):
+        """The parameters the optimizer trains."""
+        return self.model.parameters()
 
     def modules(self):
         return {"bonus_model": self.model}
@@ -118,20 +118,24 @@ class _RecurrentMethod(_ModelMethod):
     """Bonus methods on a CNN+GRU embedding model with per-worker hidden
     state and, if their bonus reads them (`episodic`), per-worker episodic
     memories. The default bonus is the DEIR ratio (`_bonus`), one
-    `intrinsic_reward` call per worker."""
+    `intrinsic_reward` call per worker. A memory holds one entry per
+    step of the longest episode."""
 
     episodic = True
 
-    def __init__(self, n_workers, model, lr, adam_eps, memory_capacity):
-        super().__init__(n_workers, model, lr, adam_eps)
-        self.hidden_dim = model.embed_dim
-        self.h = np.zeros((n_workers, model.embed_dim), np.float32)
+    def __init__(self, cfg, rng, n_workers):
+        super().__init__(cfg, rng, n_workers)
+        dim = self.hidden_dim = self.model.embed_dim
+        self.h = np.zeros((n_workers, dim), np.float32)
         self._h_before = np.zeros_like(self.h)
         self.e_cur = np.zeros_like(self.h)  # embedding of the current obs
-        self.memories = [
-            EpisodicMemory(model.embed_dim, model.embed_dim, memory_capacity)
-            for _ in range(n_workers)
-        ] if self.episodic else []
+        capacity = episode_steps(cfg.env_spec()) + 2
+        self.memories = [EpisodicMemory(dim, dim, capacity)
+                         for _ in range(n_workers)] if self.episodic else []
+
+    def _model(self, cfg, rng):
+        return self.model_cls(cfg.view_size, N_ACTIONS, rng, cfg.embed_dim,
+                              cfg.hidden, cfg.channels, cfg.norm)
 
     def _embed(self, obs, h):
         with no_grad():
@@ -163,21 +167,22 @@ class _RecurrentMethod(_ModelMethod):
     def _bonus(self, e_obs, w, done):
         return intrinsic_reward(e_obs, self.h[w], self.memories[w], done)
 
-    def extra_arrays(self):
-        out = {"h": self.h, "h_before": self._h_before, "e_cur": self.e_cur}
+    def extra_arrays(self, prefix=""):
+        out = {f"{prefix}h": self.h, f"{prefix}h_before": self._h_before,
+               f"{prefix}e_cur": self.e_cur}
         for w, mem in enumerate(self.memories):
-            out[f"mem{w}_obs"] = mem.obs.copy()
-            out[f"mem{w}_traj"] = mem.traj.copy()
+            out[f"{prefix}mem{w}_obs"] = mem.obs.copy()
+            out[f"{prefix}mem{w}_traj"] = mem.traj.copy()
         return out
 
-    def load_extra(self, arrays):
-        self.h = arrays["h"]
-        self._h_before = arrays["h_before"]
-        self.e_cur = arrays["e_cur"]
+    def load_extra(self, arrays, prefix=""):
+        self.h = arrays[f"{prefix}h"]
+        self._h_before = arrays[f"{prefix}h_before"]
+        self.e_cur = arrays[f"{prefix}e_cur"]
         for w, mem in enumerate(self.memories):
             mem.clear()
-            for e_obs, e_traj in zip(arrays[f"mem{w}_obs"],
-                                     arrays[f"mem{w}_traj"]):
+            for e_obs, e_traj in zip(arrays[f"{prefix}mem{w}_obs"],
+                                     arrays[f"{prefix}mem{w}_traj"]):
                 mem.append(e_obs, e_traj)
 
 
@@ -185,10 +190,11 @@ class _QueueMethod(_RecurrentMethod):
     """Trains the discriminator against a queue of recent novel
     observations, which each step's bonus decides whether to join."""
 
-    def __init__(self, n_workers, model, lr, adam_eps, memory_capacity,
-                 queue_size, queue_smoothing):
-        super().__init__(n_workers, model, lr, adam_eps, memory_capacity)
-        self.queue = ObservationQueue(queue_size, queue_smoothing)
+    model_cls = DiscModel
+
+    def __init__(self, cfg, rng, n_workers):
+        super().__init__(cfg, rng, n_workers)
+        self.queue = ObservationQueue(cfg.queue_size, cfg.queue_smoothing)
 
     def _rewards(self, e_obs, actions, obs_next, clean_next, dones):
         r = super()._rewards(e_obs, actions, obs_next, clean_next, dones)
@@ -207,13 +213,13 @@ class _QueueMethod(_RecurrentMethod):
     def _loss(self, batch):
         return disc_loss(self.model, batch)
 
-    def extra_arrays(self):
-        return {**super().extra_arrays(),
-                **self.queue.state_arrays("queue_")}
+    def extra_arrays(self, prefix=""):
+        return {**super().extra_arrays(prefix),
+                **self.queue.state_arrays(prefix + "queue_")}
 
-    def load_extra(self, arrays):
-        super().load_extra(arrays)
-        self.queue.load_state(arrays, "queue_")
+    def load_extra(self, arrays, prefix=""):
+        super().load_extra(arrays, prefix)
+        self.queue.load_state(arrays, prefix + "queue_")
 
 
 class Deir(_QueueMethod):
@@ -236,6 +242,7 @@ class ForwardError(_RecurrentMethod):
     """Bonus = squared next-embedding prediction error of a forward model."""
 
     name = "ForwardError"
+    model_cls = ForwardModel
     episodic = False
 
     def _rewards(self, e_obs, actions, obs_next, clean_next, dones):
@@ -248,6 +255,7 @@ class InverseDriven(_RecurrentMethod):
     """Episodic novelty ratio on embeddings trained by action prediction."""
 
     name = "InverseDriven"
+    model_cls = InverseModel
     batch_keys = ("obs_t", "obs_next", "action", "h_prev")
 
 
@@ -257,35 +265,25 @@ class Rnd(_ModelMethod):
     name = "RND"
     batch_keys = ("obs_next",)
 
-    def __init__(self, n_workers, model: RndModel, lr, adam_eps):
-        super().__init__(n_workers, model, lr, adam_eps,
-                         params=model.predictor.parameters())
+    def _model(self, cfg, rng):
+        return RndModel(cfg.view_size, rng, cfg.embed_dim, cfg.channels)
+
+    def _trained_parameters(self):
+        return self.model.predictor.parameters()
 
     def step(self, obs_next, actions, clean_next, dones):
         with no_grad():
             return self.model.bonus(obs_next)
 
 
-_EMBEDDING_METHODS = {"DEIR": (Deir, DiscModel),
-                      "PlainNovelty": (PlainNovelty, DiscModel),
-                      "ForwardError": (ForwardError, ForwardModel),
-                      "InverseDriven": (InverseDriven, InverseModel)}
+_CLASSES = {cls.name: cls for cls in (Deir, PlainNovelty, ForwardError,
+                                      InverseDriven, Rnd, NoIntrinsic)}
+METHODS = tuple(_CLASSES)
 
 
-def make_method(name, n_workers, view_size, n_actions, rng, embed_dim,
-                hidden, channels, norm, lr, adam_eps, memory_capacity,
-                queue_size, queue_smoothing):
-    if name == "NoIntrinsic":
-        return NoIntrinsic(n_workers)
-    if name == "RND":
-        return Rnd(n_workers,
-                   RndModel(view_size, rng, embed_dim, channels),
-                   lr, adam_eps)
-    if name not in _EMBEDDING_METHODS:
-        raise ValueError(f"unknown method {name!r}")
-    cls, model_cls = _EMBEDDING_METHODS[name]
-    model = model_cls(view_size, n_actions, rng, embed_dim, hidden, channels,
-                      norm)
-    queue = ((queue_size, queue_smoothing)
-             if issubclass(cls, _QueueMethod) else ())
-    return cls(n_workers, model, lr, adam_eps, memory_capacity, *queue)
+def make_method(cfg, rng, n_workers):
+    """The bonus method `cfg.method` of an `ExperimentConfig` over
+    n_workers workers; its model's initial weights are drawn from rng."""
+    if cfg.method not in _CLASSES:
+        raise ValueError(f"unknown method {cfg.method!r}")
+    return _CLASSES[cfg.method](cfg, rng, n_workers)

@@ -64,16 +64,17 @@ class Module:
         for name, m in self._modules.items():
             yield from m.named_buffers(prefix + name + ".")
 
-    def state_arrays(self):
-        """Name -> array map of everything a checkpoint must capture."""
-        out = {name: p.data for name, p in self.named_parameters()}
-        out.update(dict(self.named_buffers()))
+    def state_arrays(self, prefix=""):
+        """Name -> array map of everything a checkpoint must capture, each
+        name prefixed with `prefix`."""
+        out = {name: p.data for name, p in self.named_parameters(prefix)}
+        out.update(self.named_buffers(prefix))
         return out
 
-    def load_state(self, arrays: dict):
-        for name, p in self.named_parameters():
+    def load_state(self, arrays: dict, prefix=""):
+        for name, p in self.named_parameters(prefix):
             p.data = arrays[name].astype(p.data.dtype).reshape(p.data.shape)
-        self._load_buffers(arrays, "")
+        self._load_buffers(arrays, prefix)
 
     def _load_buffers(self, arrays, prefix):
         for k, v in self._buffers().items():

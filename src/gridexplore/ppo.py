@@ -1,6 +1,6 @@
-"""Recurrent PPO: rollout buffer, GAE, EMA advantage normalization, and
-clipped-surrogate updates that re-run the GRU over worker-contiguous
-segments from stored hidden states."""
+"""Recurrent PPO: rollout buffer, GAE, EMA standardization of rewards and
+advantages, and clipped-surrogate updates that re-run the GRU over
+worker-contiguous segments from stored hidden states."""
 from __future__ import annotations
 
 from collections import deque
@@ -116,22 +116,26 @@ def compute_gae(rewards, values, dones, bootstrap, gamma, lam):
 
 
 @dataclass
-class AdvNormState:
+class EmaStandardizer:
+    """(x - mean) / std with exponential moving averages of the batch
+    means and standard deviations; momentum 0 keeps only the last batch.
+
+    The intrinsic rewards of a rollout are standardized first and then
+    folded into the averages; its advantages are folded in first, so at
+    momentum 0 they are standardized by their own batch statistics.
+    """
+
     mean: float = 0.0
     std: float = 1.0
     momentum: float = 0.9
 
+    def update(self, x: np.ndarray) -> None:
+        m = self.momentum
+        self.mean = m * self.mean + (1.0 - m) * float(x.mean())
+        self.std = m * self.std + (1.0 - m) * float(x.std())
 
-def normalize_advantages(adv: np.ndarray, state: AdvNormState) -> np.ndarray:
-    """EMA-standardize a rollout's advantages.
-
-    The EMA absorbs this rollout's batch statistics first, so momentum 0
-    degenerates to plain per-batch standardization.
-    """
-    m = state.momentum
-    state.mean = m * state.mean + (1.0 - m) * float(adv.mean())
-    state.std = m * state.std + (1.0 - m) * float(adv.std())
-    return (adv - state.mean) / max(state.std, 1e-8)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return (x - self.mean) / max(self.std, 1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,11 @@ from gridexplore.envs import EnvSpec
 from gridexplore.harness import (
     ExperimentConfig,
     Trainer,
-    collect_probe_dataset,
     exploration_metrics,
-    probe_embeddings,
+    probe_losses,
     run_experiment,
 )
 from gridexplore.harness.config import config_lines
-from gridexplore.harness.probes import embed_dataset
 from gridexplore.intrinsic import (
     DiscModel,
     EPSILON,
@@ -47,6 +45,7 @@ from gridexplore.intrinsic import (
     intrinsic_reward,
     update_queue,
 )
+from gridexplore.methods import make_method
 from gridexplore.nn import (
     Adam,
     BatchNorm,
@@ -504,12 +503,6 @@ def test_accept_discriminator_learnability():
 # ---------------------------------------------------------------------------
 
 
-def _probe_losses(model, spec, seed):
-    data = collect_probe_dataset(spec, seed)
-    embeddings, labels = embed_dataset(model, data)
-    return probe_embeddings(embeddings, labels, np.random.default_rng(seed))
-
-
 @pytest.mark.slow
 def test_accept_probe_ordering_door_key():
     cfg = _desk_config(task="DoorKey8", frames=300_000)
@@ -518,16 +511,12 @@ def test_accept_probe_ordering_door_key():
     for seed in cfg.seeds:
         _run_cached("c8_deir_doorkey", cfg, seed, weights=True)
         blob = os.path.join(CACHE, "c8_deir_doorkey", f"seed{seed}.weights")
-        model = DiscModel(cfg.view_size, 7, np.random.default_rng(0),
-                          embed_dim=cfg.embed_dim, hidden=cfg.hidden,
-                          channels=cfg.channels, norm=cfg.norm)
+        model = make_method(cfg, np.random.default_rng(0), 1).model
         with open(blob, "rb") as fh:
             model.load_state(unpack_arrays(fh.read()))
-        trained_losses.append(_probe_losses(model, spec, seed))
-        frozen = DiscModel(cfg.view_size, 7, np.random.default_rng(seed + 50),
-                           embed_dim=cfg.embed_dim, hidden=cfg.hidden,
-                           channels=cfg.channels, norm=cfg.norm)
-        random_losses.append(_probe_losses(frozen, spec, seed))
+        trained_losses.append(probe_losses(model, spec, seed))
+        frozen = make_method(cfg, np.random.default_rng(seed + 50), 1).model
+        random_losses.append(probe_losses(frozen, spec, seed))
     for task in ("key_picked", "door_opened"):
         trained = np.median([l[task] for l in trained_losses])
         random = np.median([l[task] for l in random_losses])

@@ -5,17 +5,16 @@ from gridexplore.baselines import ForwardModel, InverseModel, RndModel, forward_
 from gridexplore.intrinsic import (
     DiscModel,
     EpisodicMemory,
-    IRNormState,
     ObservationQueue,
     build_disc_batch,
     disc_loss,
     intrinsic_reward,
-    normalize_ir,
     novelty_reward,
     sample_negative,
     update_queue,
 )
 from gridexplore.nn import Adam, Tensor, no_grad
+from gridexplore.ppo import EmaStandardizer
 
 
 def make_memory(obs_rows, traj_rows):
@@ -174,30 +173,37 @@ def test_sample_negative_is_uniform():
 
 
 # ---------------------------------------------------------------------------
-# Normalization
+# Reward normalization: the batch is standardized first, then folded into
+# the averages
+
+
+def _normalize_ir(raw, norm):
+    out = norm(raw)
+    norm.update(raw)
+    return out
 
 
 def test_fresh_state_passes_through():
-    state = IRNormState()
-    out = normalize_ir(np.array([3.0]), state)
+    norm = EmaStandardizer()
+    out = _normalize_ir(np.array([3.0]), norm)
     assert out[0] == pytest.approx(3.0)
-    assert state.mean == pytest.approx(0.3)
+    assert norm.mean == pytest.approx(0.3)
 
 
 def test_constant_stream_stays_finite():
-    state = IRNormState()
+    norm = EmaStandardizer()
     for _ in range(200):
-        out = normalize_ir(np.full(8, 2.0), state)
+        out = _normalize_ir(np.full(8, 2.0), norm)
     assert np.all(np.isfinite(out))
 
 
 def test_momentum_update_matches_hand_formula():
-    state = IRNormState(mean=1.0, std=2.0)
+    norm = EmaStandardizer(mean=1.0, std=2.0)
     raw = np.array([0.0, 2.0])
-    out = normalize_ir(raw, state)
+    out = _normalize_ir(raw, norm)
     assert out == pytest.approx([(0 - 1) / 2, (2 - 1) / 2])
-    assert state.mean == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
-    assert state.std == pytest.approx(0.9 * 2.0 + 0.1 * 1.0)
+    assert norm.mean == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
+    assert norm.std == pytest.approx(0.9 * 2.0 + 0.1 * 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from gridexplore.envs import Env, EnvSpec
+from gridexplore.harness import ExperimentConfig
 from gridexplore.methods import make_method
 from gridexplore.nn import Adam, Tensor, no_grad
 from gridexplore.ppo import (
     ActorCritic,
-    AdvNormState,
     BufferError,
     Collector,
+    EmaStandardizer,
     combine_rewards,
     compute_gae,
-    normalize_advantages,
     ppo_update,
     sample_actions,
 )
@@ -84,36 +84,41 @@ def test_gae_shape_mismatch_raises():
 
 
 # ---------------------------------------------------------------------------
-# Advantage normalization
+# Advantage normalization: the batch is folded into the averages first,
+# then standardized
+
+
+def _normalize_advantages(adv, norm):
+    norm.update(adv)
+    return norm(adv)
 
 
 def test_adv_norm_momentum_zero_standardizes():
-    state = AdvNormState(momentum=0.0)
+    norm = EmaStandardizer(momentum=0.0)
     adv = np.array([1.0, 2.0, 3.0, 6.0])
-    out = normalize_advantages(adv, state)
+    out = _normalize_advantages(adv, norm)
     assert out.mean() == pytest.approx(0.0, abs=1e-12)
     assert out.std() == pytest.approx(1.0)
 
 
 def test_adv_norm_shift_invariant_at_momentum_zero():
     adv = np.array([0.5, -1.0, 2.0])
-    out1 = normalize_advantages(adv, AdvNormState(momentum=0.0))
-    out2 = normalize_advantages(adv + 10.0, AdvNormState(momentum=0.0))
+    out1 = _normalize_advantages(adv, EmaStandardizer(momentum=0.0))
+    out2 = _normalize_advantages(adv + 10.0, EmaStandardizer(momentum=0.0))
     assert np.allclose(out1, out2)
 
 
 def test_adv_norm_constant_batch_is_finite():
-    state = AdvNormState()
-    out = normalize_advantages(np.full(8, 3.0), state)
+    out = _normalize_advantages(np.full(8, 3.0), EmaStandardizer())
     assert np.all(np.isfinite(out))
 
 
 def test_adv_norm_ema_blend_hand_values():
-    state = AdvNormState(mean=0.0, std=1.0, momentum=0.9)
+    norm = EmaStandardizer(mean=0.0, std=1.0, momentum=0.9)
     adv = np.array([2.0, 4.0])  # batch mean 3, std 1
-    out = normalize_advantages(adv, state)
-    assert state.mean == pytest.approx(0.3)
-    assert state.std == pytest.approx(1.0)
+    out = _normalize_advantages(adv, norm)
+    assert norm.mean == pytest.approx(0.3)
+    assert norm.std == pytest.approx(1.0)
     assert out == pytest.approx((adv - 0.3) / 1.0)
 
 
@@ -193,11 +198,9 @@ def _tiny_setup(method_name="NoIntrinsic", n_workers=2, seed=0):
     spec = EnvSpec("MultiRoomN2S4")
     env = Env(spec, [100 + w for w in range(n_workers)])
     policy = ActorCritic(7, 7, rng, embed_dim=8, hidden=16, channels=(4, 8, 8))
-    method = make_method(
-        method_name, n_workers, 7, 7, rng, embed_dim=8, hidden=16,
-        channels=(4, 8, 8), norm="batch", lr=1e-3, adam_eps=1e-5,
-        memory_capacity=64, queue_size=256, queue_smoothing=0.9,
-    )
+    cfg = ExperimentConfig(method=method_name, embed_dim=8, hidden=16,
+                           channels=(4, 8, 8), method_lr=1e-3, queue_size=256)
+    method = make_method(cfg, rng, n_workers)
     collector = Collector(env, policy, method, np.random.default_rng(seed))
     return policy, method, collector
 

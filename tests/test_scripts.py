@@ -1,13 +1,15 @@
 """The command-line entry points, run as a user runs them."""
+import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from pinned_runs import tiny_config
 
-from gridexplore.harness import PROBE_TASKS, Trainer
+from gridexplore.harness import PROBE_TASKS, Trainer, probe_losses
 from gridexplore.harness.config import config_lines
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
@@ -41,12 +43,31 @@ def test_train_resume_ends_with_the_straight_run_rows(tmp_path):
     assert resumed == full[:1] + full[2:]
 
 
-def _checkpoint(tmp_path, method):
-    t = Trainer(tiny_config(method=method, queue_size=16), 1)
+def _trained(method, **kw):
+    t = Trainer(tiny_config(method=method, queue_size=16, **kw), 1)
     t.train_iteration()
+    return t
+
+
+def _checkpoint(tmp_path, method, **kw):
     path = str(tmp_path / f"{method}.ckpt")
-    t.save(path)
+    _trained(method, **kw).save(path)
     return path
+
+
+# sha256 of the probe's stdout with --episodes 10: of a frozen random
+# model (--random) and of each method's tiny checkpoint (_checkpoint)
+PROBE_DIGESTS = {
+    "random": "2fc7cc2f2ec744be204dc79b517fd3a5f966ba34f4d1005ac49d978090ba8b6a",
+    "DEIR": "62f1f7e451c14fc784d61a7f325806e8e41c5dc91f079276654aea3887894c50",
+    "ForwardError":
+        "67300e0994ac5a8107c3a5e66bb8aab6d1a7f29725abdb25711e96f9be291431",
+}
+
+
+def _stdout_digest(res):
+    assert res.returncode == 0, res.stderr
+    return hashlib.sha256(res.stdout.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("method", ["DEIR", "ForwardError"])
@@ -57,6 +78,27 @@ def test_probe_reads_embedding_model_checkpoints(tmp_path, method):
     lines = res.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [n for n, _ in
                                                       PROBE_TASKS]
+    assert _stdout_digest(res) == PROBE_DIGESTS[method]
+
+
+def test_probe_of_a_random_model_is_pinned():
+    res = _run("probe.py", "--random", "--episodes", 10)
+    assert _stdout_digest(res) == PROBE_DIGESTS["random"]
+
+
+def test_probe_observes_the_checkpoints_environment(tmp_path):
+    """A model trained at view 3 with noise and hidden obstacles is probed
+    in that environment, on the probe task."""
+    t = _trained("DEIR", view_size=3, noise_sigma=0.3,
+                 invisible_obstacles=True)
+    path = str(tmp_path / "harsh.ckpt")
+    t.save(path)
+    res = _run("probe.py", "--checkpoint", path, "--episodes", 10)
+    assert res.returncode == 0, res.stderr
+    spec = replace(t.config.env_spec(), task="DoorKey8")
+    losses = probe_losses(t.method.model, spec, 0, episodes=10)
+    assert res.stdout.splitlines() == [f"{name}: {loss:.6g}"
+                                       for name, loss in losses.items()]
 
 
 def test_probe_refuses_a_method_without_an_embedding_model(tmp_path):
