@@ -14,7 +14,7 @@ import tempfile
 from ..nn import BlobError, pack_arrays, unpack_arrays
 
 MAGIC = b"GXCK"
-VERSION = 2  # 2: uint8 grid planes and queue rows
+VERSION = 3  # 2: uint8 grid planes and queue rows; 3: fused GRU weights
 
 
 class CheckpointError(Exception):
@@ -57,7 +57,9 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt metadata: {exc}") from exc
     if meta.get("version") != VERSION:
-        raise CheckpointError(f"unsupported version {meta.get('version')!r}")
+        raise CheckpointError(f"unsupported checkpoint version "
+                              f"{meta.get('version')!r}; this code reads "
+                              f"version {VERSION}")
     try:
         arrays = unpack_arrays(data[12 + length :])
     except BlobError as exc:

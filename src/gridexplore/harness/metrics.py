@@ -18,6 +18,14 @@ class MetricRow:
     model_loss: float
     raw_ir_mean: float
     episodes: int
+    # bonus diagnostics, 0 for a method without the part they describe:
+    # negatives the queue could not supply to the discriminator batches,
+    # queue length after the rollout, share of the rollout's steps the
+    # queue admitted, and the discriminator's batch accuracy
+    neg_shortfall: int = 0
+    queue_len: int = 0
+    queue_admit_frac: float = 0.0
+    disc_acc: float = 0.0
 
     @classmethod
     def columns(cls):

@@ -97,9 +97,9 @@ class Trainer:
             entropy=stats["entropy"],
             clip_fraction=stats["clip_fraction"],
             approx_kl=stats["approx_kl"],
-            model_loss=mstats.get("model_loss", 0.0),
             raw_ir_mean=float(raw.mean()),
             episodes=self.collector.total_episodes,
+            **mstats,
         )
         self.rows.append(row)
         return row

@@ -104,7 +104,8 @@ class ObservationQueue:
     discriminator consumes. The entries live in two ring arrays whose
     row shape and dtype come from the first push. A row is written only
     when it is pushed and only live rows are copied out, so the unfilled
-    part of a large ring is never touched.
+    part of a large ring is never touched. `pushes` counts the pushes
+    since its reader last set it to 0; it is not saved.
     """
 
     def __init__(self, max_size: int = 100_000, smoothing: float = 0.9):
@@ -114,6 +115,7 @@ class ObservationQueue:
         self._obs = self._net = None
         self._start = 0
         self.count = 0
+        self.pushes = 0
 
     def __len__(self):
         return self.count
@@ -139,6 +141,7 @@ class ObservationQueue:
         else:  # evict oldest
             j = self._start
             self._start = (self._start + 1) % self.max_size
+        self.pushes += 1
         self._obs[j] = obs
         self._net[j] = net_obs
 
@@ -153,7 +156,7 @@ class ObservationQueue:
 
     def load_state(self, arrays, prefix=""):
         self.running_avg = float(arrays[f"{prefix}running_avg"][0])
-        self._start = self.count = 0
+        self._start = self.count = self.pushes = 0
         if f"{prefix}obs" in arrays:
             obs, net = arrays[f"{prefix}obs"], arrays[f"{prefix}net"]
             self._allocate(obs[0], net[0])
@@ -201,15 +204,16 @@ class DiscModel(EmbeddingModel):
         return self.head(concat([traj_t, traj_x, act_onehot], axis=1))
 
 
-def disc_loss(model: DiscModel, batch) -> Tensor:
-    """Mean binary cross-entropy of the discriminator on a sample batch."""
+def disc_loss(model: DiscModel, batch) -> tuple[Tensor, Tensor]:
+    """Mean binary cross-entropy of the discriminator on a sample batch,
+    and its (B, 1) logits."""
     logits = model.logits(
         Tensor(batch["obs_t"]),
         Tensor(batch["action"]),
         Tensor(batch["obs_x"]),
         Tensor(batch["h_prev"]),
     )
-    return logits.reshape(-1).bce_with_logits(batch["label"])
+    return logits.reshape(-1).bce_with_logits(batch["label"]), logits
 
 
 def build_disc_batch(positives, q: ObservationQueue, size: int, rng):
@@ -245,8 +249,8 @@ def build_disc_batch(positives, q: ObservationQueue, size: int, rng):
     else:
         obs_x = obs_x_pos
     label = np.concatenate(
-        [np.ones(half, dtype=np.float64),
-         np.zeros(len(neg_rows), dtype=np.float64)]
+        [np.ones(half, dtype=np.float32),
+         np.zeros(len(neg_rows), dtype=np.float32)]
     )
     return {
         "obs_t": positives["obs_t"][idx],

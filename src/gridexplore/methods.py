@@ -47,7 +47,9 @@ class NoIntrinsic:
         pass
 
     def update(self, buffer, rng, epochs, minibatch):
-        return {}
+        """Train on the rollout; returns `MetricRow` fields (model_loss and
+        the bonus diagnostics) by name."""
+        return {"model_loss": 0.0}
 
     def modules(self):
         return {}
@@ -207,11 +209,25 @@ class _QueueMethod(_RecurrentMethod):
         (the queue could not supply negatives) is skipped."""
         for _ in range(pos["obs_t"].shape[0] // size):
             batch = build_disc_batch(pos, self.queue, size, rng)
+            self._short += size // 2 - int((batch["label"] == 0).sum())
             if batch["label"].size >= 4:
                 yield batch
 
     def _loss(self, batch):
-        return disc_loss(self.model, batch)
+        loss, logits = disc_loss(self.model, batch)
+        self._correct += int(((logits.data.reshape(-1) > 0)
+                              == (batch["label"] > 0.5)).sum())
+        self._labels += batch["label"].size
+        return loss
+
+    def update(self, buffer, rng, epochs, minibatch):
+        self._short = self._correct = self._labels = 0
+        stats = super().update(buffer, rng, epochs, minibatch)
+        admitted, self.queue.pushes = self.queue.pushes, 0
+        return {**stats, "neg_shortfall": self._short,
+                "queue_len": len(self.queue),
+                "queue_admit_frac": admitted / buffer.raw_ir.size,
+                "disc_acc": self._correct / max(self._labels, 1)}
 
     def extra_arrays(self, prefix=""):
         return {**super().extra_arrays(prefix),

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import GraphError, Tensor, conv2d
+from .tensor import GraphError, Tensor, conv2d, gru_cell, normalize
 
 EPS_NORM = 1e-8  # sigma floor shared by both normalization modes
 
@@ -136,38 +136,30 @@ class BatchNorm(_Norm):
 
     def __init__(self, num_features):
         super().__init__(num_features)
-        self.running_mean = np.zeros(num_features, dtype=np.float64)
-        self.running_var = np.ones(num_features, dtype=np.float64)
+        self.running_mean = np.zeros(num_features, dtype=np.float32)
+        self.running_var = np.ones(num_features, dtype=np.float32)
 
     def _buffers(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def __call__(self, x: Tensor) -> Tensor:
         axes = tuple(range(x.data.ndim - 1))
-        if self.training:
-            count = int(np.prod([x.shape[a] for a in axes]))
-            if count < 2:
-                raise GraphError("batch norm needs at least 2 samples in training")
-            mu = x.mean(axis=axes, keepdims=True)
-            centered = x - mu
-            var = (centered * centered).mean(axis=axes, keepdims=True)
-            m = self.momentum
-            self.running_mean = m * self.running_mean + (1 - m) * mu.data.reshape(-1)
-            self.running_var = m * self.running_var + (1 - m) * var.data.reshape(-1)
-            y = centered / (var + self.eps).sqrt()
-        else:
-            y = (x - self.running_mean.astype(x.dtype)) / np.sqrt(
-                self.running_var + self.eps
-            ).astype(x.dtype)
-        return y * self.gamma + self.beta
+        if not self.training:
+            stats = (self.running_mean.astype(x.dtype, copy=False),
+                     self.running_var.astype(x.dtype, copy=False))
+            return normalize(x, self.gamma, self.beta, axes, self.eps, stats)[0]
+        if x.size // x.shape[-1] < 2:
+            raise GraphError("batch norm needs at least 2 samples in training")
+        y, mean, var = normalize(x, self.gamma, self.beta, axes, self.eps)
+        m = self.momentum
+        self.running_mean = m * self.running_mean + (1 - m) * mean.reshape(-1)
+        self.running_var = m * self.running_var + (1 - m) * var.reshape(-1)
+        return y
 
 
 class LayerNorm(_Norm):
     def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        return (centered / (var + self.eps).sqrt()) * self.gamma + self.beta
+        return normalize(x, self.gamma, self.beta, (-1,), self.eps)[0]
 
 
 class Identity(Module):
@@ -194,6 +186,9 @@ class GruCell(Module):
     r = sigmoid(Wr x + Ur h + br)
     n = tanh(Wn x + Un (r*h) + bn)
     h' = (1 - z) * n + z * h
+
+    The gates' weights are stored fused: w = [Wz|Wr|Wn], u = [Uz|Ur],
+    un = Un and b = [bz|br|bn], so a step is the one op `gru_cell`.
     """
 
     def __init__(self, input_size, hidden_size, rng):
@@ -202,22 +197,24 @@ class GruCell(Module):
         bound = 1.0 / np.sqrt(hidden_size)
 
         def u(shape):
-            return Tensor(rng.uniform(-bound, bound, shape).astype(np.float32))
+            return rng.uniform(-bound, bound, shape).astype(np.float32)
 
-        self.wz, self.uz, self.bz = u((input_size, hidden_size)), u((hidden_size, hidden_size)), u(hidden_size)
-        self.wr, self.ur, self.br = u((input_size, hidden_size)), u((hidden_size, hidden_size)), u(hidden_size)
-        self.wn, self.un, self.bn = u((input_size, hidden_size)), u((hidden_size, hidden_size)), u(hidden_size)
+        # drawn gate by gate (W, U, b of z, then r, then n)
+        (wz, uz, bz), (wr, ur, br), (wn, un, bn) = (
+            (u((input_size, hidden_size)), u((hidden_size, hidden_size)),
+             u(hidden_size)) for _ in range(3))
+        self.w = Tensor(np.concatenate([wz, wr, wn], axis=1))
+        self.u = Tensor(np.concatenate([uz, ur], axis=1))
+        self.un = Tensor(un)
+        self.b = Tensor(np.concatenate([bz, br, bn]))
 
     def __call__(self, x: Tensor, h: Tensor) -> Tensor:
-        if x.shape[-1] != self.wz.shape[0] or h.shape[-1] != self.hidden_size:
+        if x.shape[-1] != self.w.shape[0] or h.shape[-1] != self.hidden_size:
             raise GraphError(
                 f"gru shape mismatch: x {x.shape}, h {h.shape}, "
-                f"expected in={self.wz.shape[0]} hidden={self.hidden_size}"
+                f"expected in={self.w.shape[0]} hidden={self.hidden_size}"
             )
-        z = (x @ self.wz + h @ self.uz + self.bz).sigmoid()
-        r = (x @ self.wr + h @ self.ur + self.br).sigmoid()
-        n = (x @ self.wn + (r * h) @ self.un + self.bn).tanh()
-        return (1.0 - z) * n + z * h
+        return gru_cell(x, h, self.w, self.u, self.un, self.b)
 
 
 class Mlp(Module):

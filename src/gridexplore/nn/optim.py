@@ -1,6 +1,8 @@
 # Adam with bias correction, plus global gradient-norm clipping.
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import Tensor
@@ -59,7 +61,7 @@ def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
     for p in params:
         if p.grad is not None:
             total += float((p.grad**2).sum())
-    norm = np.sqrt(total)
+    norm = math.sqrt(total)  # a Python float keeps the gradients' dtype
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for p in params:

@@ -3,6 +3,8 @@
 # replays them in reverse topological order, accumulating into .grad.
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -32,6 +34,12 @@ class no_grad:
 
     def __exit__(self, *args):
         Tensor._grad_enabled = self._prev
+
+
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """Logistic function with one exponential, stable for either sign."""
+    z = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 class Tensor:
@@ -66,9 +74,14 @@ class Tensor:
     def _accum(self, g):
         self.grad = g if self.grad is None else self.grad + g
 
-    @staticmethod
-    def _wrap(other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(np.asarray(other))
+    def _wrap(self, other) -> "Tensor":
+        """`other` as a Tensor; a Python scalar takes this tensor's dtype,
+        as NumPy 2 gives it in plain array arithmetic."""
+        if isinstance(other, Tensor):
+            return other
+        if isinstance(other, (int, float)):
+            return Tensor(np.asarray(other, np.result_type(self.data, other)))
+        return Tensor(np.asarray(other))
 
     def _make(self, data, prev, backward):
         out = Tensor(data, prev)
@@ -169,8 +182,7 @@ class Tensor:
         return self._make(out_data, (self,), backward)
 
     def sigmoid(self):
-        z = np.exp(-np.abs(self.data))
-        out_data = np.where(self.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+        out_data = _sigmoid(self.data)
 
         def backward(out):
             self._accum(out_data * (1 - out_data) * out.grad)
@@ -234,9 +246,8 @@ class Tensor:
         return self._make(out_data, (self,), backward)
 
     def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else np.prod(
-            [self.data.shape[a] for a in np.atleast_1d(axis)]
-        )
+        n = self.data.size if axis is None else math.prod(
+            self.data.shape[a] for a in np.atleast_1d(axis))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- shape ops ------------------------------------------------------
@@ -350,7 +361,7 @@ class Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    tensors = [Tensor._wrap(t) for t in tensors]
+    tensors = list(tensors)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -392,3 +403,72 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, k: int) -> Tensor:
     # parents in (x, w, b) order: the topological sort then visits them as
     # it visited the slice, matmul and bias nodes this op replaces
     return x._make(out_data, (x, w, b), backward)
+
+
+def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float,
+              stats=None):
+    """gamma * (x - mean) / sqrt(var + eps) + beta as one op; gamma and
+    beta scale and shift the last axis.
+
+    `stats` = (mean, var) are constants (eval-mode batch norm). Without
+    them mean and var are the biased moments of x over `axes`, and the
+    gradient flows through them too. Returns the output and the
+    (mean, var) it used.
+    """
+    if stats is None:
+        mean = x.data.mean(axis=axes, keepdims=True)
+        centered = x.data - mean
+        var = (centered * centered).mean(axis=axes, keepdims=True)
+    else:
+        mean, var = stats
+        centered = x.data - mean
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    out_data = xhat * gamma.data + beta.data
+
+    def backward(out):
+        g = out.grad
+        lead = tuple(range(g.ndim - 1))
+        gamma._accum((g * xhat).sum(axis=lead))
+        beta._accum(g.sum(axis=lead))
+        d = g * gamma.data
+        if stats is None:
+            d = (d - d.mean(axis=axes, keepdims=True)
+                 - xhat * (d * xhat).mean(axis=axes, keepdims=True))
+        x._accum(d * inv)
+
+    return x._make(out_data, (x, gamma, beta), backward), mean, var
+
+
+def gru_cell(x: Tensor, h: Tensor, w: Tensor, u: Tensor, un: Tensor,
+             b: Tensor) -> Tensor:
+    """One GRU step as one op, from the fused weights of `GruCell`:
+    w = [Wz|Wr|Wn], u = [Uz|Ur], un = Un and b = [bz|br|bn].
+
+    z = sigmoid(x Wz + h Uz + bz), r = sigmoid(x Wr + h Ur + br),
+    n = tanh(x Wn + (r * h) Un + bn), h' = (1 - z) * n + z * h.
+    """
+    hs = h.data.shape[1]
+    gx = x.data @ w.data + b.data
+    gh = h.data @ u.data
+    z = _sigmoid(gx[:, :hs] + gh[:, :hs])
+    r = _sigmoid(gx[:, hs : 2 * hs] + gh[:, hs:])
+    rh = r * h.data
+    n = np.tanh(gx[:, 2 * hs :] + rh @ un.data)
+    out_data = (1 - z) * n + z * h.data
+
+    def backward(out):
+        g = out.grad
+        dn = g * (1 - z) * (1 - n * n)
+        drh = dn @ un.data.T
+        dgh = np.concatenate([g * (h.data - n) * z * (1 - z),
+                              drh * h.data * r * (1 - r)], axis=1)
+        dgx = np.concatenate([dgh, dn], axis=1)
+        x._accum(dgx @ w.data.T)
+        h._accum(g * z + drh * r + dgh @ u.data.T)
+        w._accum(x.data.T @ dgx)
+        u._accum(h.data.T @ dgh)
+        un._accum(rh.T @ dn)
+        b._accum(dgx.sum(axis=0))
+
+    return x._make(out_data, (x, h, w, u, un, b), backward)

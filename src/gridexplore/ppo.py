@@ -153,7 +153,7 @@ def _segment_forward(model, obs, h0, done_prev):
     for t in range(L):
         if t > 0:
             # a done at t-1 means this step starts a fresh episode
-            mask = (1.0 - done_prev[:, t - 1].astype(np.float64))[:, None]
+            mask = (~done_prev[:, t - 1, None]).astype(np.float32)
             h = h * Tensor(mask)
         h = model.gru(e[:, t, :], h)
         outs.append(h)
@@ -180,8 +180,9 @@ def ppo_update(model, optimizer, buffer: RolloutBuffer, rng, clip=0.2,
 
     obs_s, done_s = cut(buffer.obs), cut(buffer.dones)
     h0_s = buffer.policy_h[::L]
-    flat_s = [cut(a) for a in (buffer.actions, buffer.log_probs,
-                               buffer.advantages, buffer.returns)]
+    flat_s = [cut(buffer.actions)] + [
+        cut(a.astype(np.float32))
+        for a in (buffer.log_probs, buffer.advantages, buffer.returns)]
     per_mb = max(1, minibatch // L)
     stats = {k: 0.0 for k in ("policy_loss", "value_loss", "entropy",
                               "clip_fraction", "approx_kl")}

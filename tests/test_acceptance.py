@@ -487,7 +487,7 @@ def test_accept_discriminator_learnability():
     accuracy = held_out_accuracy()
     for step in range(5000):
         model.zero_grad()
-        loss = disc_loss(model, balanced_batch(train_t, 64, rng))
+        loss, _ = disc_loss(model, balanced_batch(train_t, 64, rng))
         loss.backward()
         opt.step()
         if (step + 1) % 100 == 0:

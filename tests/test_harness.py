@@ -2,7 +2,10 @@
 the training loop's determinism/resume contract, and embedding probes."""
 import dataclasses
 import glob
+import json
+import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -370,6 +373,23 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(back["stats"], arrays["stats"])
 
 
+def test_checkpoint_refuses_version_2_naming_both_versions(tmp_path):
+    # version 2 stored the GRU as nine gate arrays; version 3 fuses them
+    path = str(tmp_path / "old.ckpt")
+    save_checkpoint(path, {"frames": 512}, {"w": np.zeros(2, np.float32)})
+    with open(path, "rb") as fh:
+        data = fh.read()
+    (length,) = struct.unpack("<Q", data[4:12])
+    meta = json.loads(data[12 : 12 + length])
+    assert meta["version"] == 3
+    payload = json.dumps(dict(meta, version=2)).encode()
+    with open(path, "wb") as fh:
+        fh.write(data[:4] + struct.pack("<Q", len(payload)) + payload
+                 + data[12 + length :])
+    with pytest.raises(CheckpointError, match=r"version 2\b.*version 3\b"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -446,22 +466,22 @@ def test_trainer_resume_reproduces_next_rows(tmp_path, method, sigma):
 
 # sha256 of the CSV each case's tiny run writes (pinned_runs.py)
 _TRAINING_DIGESTS = {
-    "DEIR": "e19ceb08b61b85629a098ecc0735b0707dd9c2480102475eba8496529760914b",
+    "DEIR": "24b8493da8e2505422207874bee2361a93ab5c53b508a62e801167064726aba7",
     "PlainNovelty":
-        "7566213b078cec29f1dd5645fe70b8e45f58af82acf07dcb7a018370dd6fe3f2",
+        "dc09919b59fbdc776457861ded07d1a51db8b16c85359f8a061ba085168e681c",
     "ForwardError":
-        "19b1fcdab653c08401fb498fac22ff7e645cb502adcb83443ddd98fdbc8a887b",
+        "6304acdb33d5500165cc911e24cd012adf0f3da1b9d3e5d63ecfb30d9b0a795c",
     "InverseDriven":
-        "93cdd37c6dcafb560fd8954e6f884e253a0ccb3f6106e7bb9687424c01760383",
-    "RND": "7938964e2ca5fbeb91871124baba6b4c1016e7c5f16f00a0a107cee92d1d9851",
+        "0138f75a4a917031ca0f03261770483be3b7b2d0b6def6bb31661b469f7ee462",
+    "RND": "dade91e96a22811272ef6960b7dc56f5f113192a5491ff30e47dbff1d0182064",
     "NoIntrinsic":
-        "d3909df0b75eb7d9cb9d94265f08090608416b8b45d6e5de25006fcc7e325cbd",
+        "648ce87eb84c159882af6ccb56ddb012e0eaf60e9d5decdef91afd20bf262f1e",
     "DEIR-harsh":
-        "773a0879cdff38d9cda71d19b95e5c9853725b7a12bb40de06f0b2d697b17700",
+        "6e1e6b40851ec05d6570eadabfd1b437722cbd2be794ceb42ba49f7c7f37d2ec",
     "DEIR-DoorKey8":
-        "3dda0edb4f52918b91680e2059e2c8da6dde27d00ffbf0f5bbfb63aa573df529",
+        "3663dc832951ca893dac7ae22d6f67ed848fe0680efb2035395d6b5830154ca9",
     "NoIntrinsic-minibatch16":
-        "7f20f7c90f4c40e91b6fe03e3371b90c8f45626772b7cba95cc66dc288582081",
+        "32fea0524a2cc10cdd0355187fc10ab5b1dfe9b57a01e8e2b34d4814aa93b699",
 }
 
 
@@ -477,22 +497,22 @@ def test_training_digest_is_pinned(case):
 
 # sha256 of the checkpoint each case's tiny run writes (pinned_runs.py)
 _CHECKPOINT_DIGESTS = {
-    "DEIR": "d0a295dc0d8ac11ce72337d28f94dd62f4f08646a42ff6b2e5b30cb67e5c8a68",
+    "DEIR": "b31e99fedde2e7870a69b5e5903ebf12549f4af155e1b2b595ac5afc698bc081",
     "PlainNovelty":
-        "4ecdb3505c3cc87eb76267ace07fae9f253d392e073f763dfabe4ca9e86e063a",
+        "d7922e0e703feff647ecdb43141cd6d557943b81d2344d703bbc3de748ce48ce",
     "ForwardError":
-        "e168c27a8861c5e6ae88a6e4b1d912d709df4019b8f37d14d09e36e47c0a61ca",
+        "b2196bb4940b9c4fd709beb03dd4286ad908e6b607ab5294fccde376a8552f2b",
     "InverseDriven":
-        "2dc1d261bc62bd62e59491028ed9d1b26b1703c2e077b3e0c7aa14c8c996cf7f",
-    "RND": "574bc0772c1e8c69ce5a7f7a8e02828a9d724e9a6cc66a95ec428163cbfedde8",
+        "8d4fd293214daf2f078d64a49a4bbbeb53cdb210e917b9ae7389b9ecb5243693",
+    "RND": "839f615cfc4053d7d26cef7a76614d0d06725fd3e57d2f945031bdf52f1fdc2c",
     "NoIntrinsic":
-        "bf5aae0c47e28a9a7e2334fa9ec6137ae0a0cd64590aa40a3c830850ff63d7ab",
+        "44244de1338149e6b1611597e3c61b1151360cf1cd51412da1fcbc05b71a2e72",
     "DEIR-harsh":
-        "c83277258bfa553e57866ff4e70542debe732536a4cc2985869325653a5590f0",
+        "0cc8f7fefb7764e7856f2cc091d504cff4f8496297031c8d53327d840dd36a3b",
     "DEIR-DoorKey8":
-        "bd6327056d4e3ad371dfd112c69243ea6e9a0397ac0da8dc56643809bdd26442",
+        "27c73f4c6214b62c066ddd027ae0ed18085357aaed355484a28d0cb372023458",
     "NoIntrinsic-minibatch16":
-        "7cd2ca2e5f321e3abc79088ab2d2ec8d6f7a552da998fb3f4ebeed17bde5fe6d",
+        "a1ec0a013b8d179620b5f296ae5abef0b60f1907beffa737c5b94bf0d3394720",
 }
 
 
@@ -559,6 +579,55 @@ def test_trainer_load_rejects_missing_memory_array(tmp_path):
     save_checkpoint(path, meta, arrays)
     with pytest.raises(CheckpointError, match="mem1_traj"):
         Trainer(_tiny_config(), 1).load(path)
+
+
+def test_bonus_diagnostics_are_zero_without_their_part():
+    for method in ("NoIntrinsic", "ForwardError", "InverseDriven", "RND"):
+        row = Trainer(_tiny_config(method=method), 1).train_iteration()
+        assert (row.neg_shortfall, row.queue_len, row.queue_admit_frac,
+                row.disc_acc) == (0, 0, 0.0, 0.0), method
+
+
+@pytest.mark.parametrize("method", ["DEIR", "PlainNovelty"])
+def test_bonus_diagnostics_count_the_queue_and_discriminator(monkeypatch,
+                                                             method):
+    from gridexplore import methods
+    admitted = []
+    update_queue = methods.update_queue
+
+    def counted(q, obs, net_obs, r_i):
+        before = q.pushes
+        update_queue(q, obs, net_obs, r_i)
+        admitted[-1] += q.pushes - before
+
+    monkeypatch.setattr(methods, "update_queue", counted)
+    cfg = _tiny_config(method=method, noise_sigma=0.1)
+    t = Trainer(cfg, 1)
+    steps = cfg.rollout_steps * cfg.workers
+    for _ in range(3):
+        admitted.append(0)
+        row = t.train_iteration()
+        assert row.queue_len == len(t.method.queue)
+        assert row.queue_admit_frac == admitted[-1] / steps
+        assert row.neg_shortfall == 0
+        assert 0.0 < row.disc_acc < 1.0
+        for name in MetricRow.columns():
+            assert math.isfinite(getattr(row, name)), name
+    assert 0 < sum(admitted) <= t.method.queue.max_size
+
+
+def test_neg_shortfall_counts_negatives_an_empty_queue_cannot_supply():
+    cfg = _tiny_config()
+    t = Trainer(cfg, 1)
+    buf = t.collector.collect(cfg.rollout_steps)
+    t.method.queue = type(t.method.queue)(cfg.queue_size)  # empty
+    with pytest.warns(RuntimeWarning, match="negative pool too small"):
+        stats = t.method.update(buf, np.random.default_rng(0), epochs=2,
+                                minibatch=cfg.model_minibatch)
+    batches = 2 * (buf.raw_ir.size // cfg.model_minibatch)
+    assert stats["neg_shortfall"] == batches * cfg.model_minibatch // 2
+    assert (stats["queue_len"], stats["queue_admit_frac"]) == (0, 0.0)
+    assert 0.0 <= stats["disc_acc"] <= 1.0
 
 
 def test_trainer_metric_rows_monotone_frames():

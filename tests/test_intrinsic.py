@@ -300,7 +300,7 @@ def test_disc_loss_is_ln2_for_uninformative_logits():
     rng = np.random.default_rng(5)
     pos = _positives(rng)
     batch = build_disc_batch(pos, _filled_queue(rng), 8, rng)
-    loss = disc_loss(model, batch)
+    loss, _ = disc_loss(model, batch)
     assert float(loss.data) == pytest.approx(np.log(2.0), rel=1e-6)
 
 
@@ -314,7 +314,7 @@ def test_disc_loss_trains_on_toy_batch():
     first = None
     for _ in range(60):
         model.zero_grad()
-        loss = disc_loss(model, batch)
+        loss, _ = disc_loss(model, batch)
         loss.backward()
         opt.step()
         if first is None:

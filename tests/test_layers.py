@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -293,3 +295,130 @@ def test_module_state_roundtrip():
     for (_, a), (_, b) in zip(mlp.named_parameters(), other.named_parameters()):
         assert np.allclose(a.data, b.data)
     assert np.allclose(mlp.norm0.running_mean, other.norm0.running_mean)
+
+
+# ---------------------------------------------------------------------------
+# Fused norm and GRU ops against the composite formulas they replaced,
+# kept here as the reference, in float64
+
+
+def _old_batch_norm(bn, x):
+    axes = tuple(range(x.data.ndim - 1))
+    if bn.training:
+        mu = x.mean(axis=axes, keepdims=True)
+        centered = x - mu
+        var = (centered * centered).mean(axis=axes, keepdims=True)
+        m = bn.momentum
+        bn.running_mean = m * bn.running_mean + (1 - m) * mu.data.reshape(-1)
+        bn.running_var = m * bn.running_var + (1 - m) * var.data.reshape(-1)
+        y = centered / (var + bn.eps).sqrt()
+    else:
+        y = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
+    return y * bn.gamma + bn.beta
+
+
+def _old_layer_norm(ln, x):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return (centered / (var + ln.eps).sqrt()) * ln.gamma + ln.beta
+
+
+def _float64_norm(cls, rng, n):
+    norm = to_float64(cls(n))
+    norm.gamma.data = rng.uniform(0.5, 1.5, n)
+    norm.beta.data = rng.standard_normal(n)
+    if cls is BatchNorm:
+        norm.running_mean = rng.standard_normal(n)
+        norm.running_var = rng.uniform(0.5, 2.0, n)
+    return norm
+
+
+def _apply(fn, norm, data, r):
+    """Output, x/gamma/beta grads and running stats after one call."""
+    norm.zero_grad()
+    x = Tensor(data.copy())
+    y = fn(norm, x)
+    (y * r).sum().backward()
+    stats = [getattr(norm, k, None) for k in ("running_mean", "running_var")]
+    return [y.data, x.grad, norm.gamma.grad, norm.beta.grad] + [
+        s for s in stats if s is not None]
+
+
+@pytest.mark.parametrize("case", ["batch-train-2d", "batch-train-4d",
+                                  "batch-eval-2d", "batch-eval-4d",
+                                  "layer-2d", "layer-4d"])
+def test_fused_norm_matches_composite_formula(case):
+    kind, *mode, dims = case.split("-")
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
+    shape = (6, 5) if dims == "2d" else (3, 4, 4, 5)
+    data = rng.standard_normal(shape) * 3.0 + 1.0
+    r = rng.standard_normal(shape)
+    cls, old = ((BatchNorm, _old_batch_norm) if kind == "batch"
+                else (LayerNorm, _old_layer_norm))
+    fused, ref = (_float64_norm(cls, np.random.default_rng(1), 5)
+                  for _ in range(2))
+    if mode == ["eval"]:
+        fused.eval(), ref.eval()
+    got = _apply(type(fused).__call__, fused, data, r)
+    want = _apply(old, ref, data, r)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.float64
+        assert np.max(np.abs(a - b)) < 1e-10
+
+
+@pytest.mark.parametrize("cls", [BatchNorm, LayerNorm])
+def test_fused_norm_on_a_constant_feature_is_finite(cls):
+    rng = np.random.default_rng(3)
+    norm = cls(3)
+    data = rng.standard_normal((8, 3)).astype(np.float32)
+    data[:, 1] = 2.5  # a constant channel (BatchNorm's batch axis)
+    if cls is LayerNorm:
+        data[0] = 2.5  # a constant row (LayerNorm's feature axis)
+    x = Tensor(data)
+    y = norm(x)
+    (y * rng.standard_normal((8, 3)).astype(np.float32)).sum().backward()
+    for a in (y.data, x.grad, norm.gamma.grad, norm.beta.grad):
+        assert a.dtype == np.float32 and np.isfinite(a).all()
+
+
+def _old_gru(cell, x, h):
+    hs = cell.hidden_size
+    wz, wr, wn = (cell.w[:, i * hs:(i + 1) * hs] for i in range(3))
+    uz, ur = cell.u[:, :hs], cell.u[:, hs:]
+    bz, br, bn = (cell.b[i * hs:(i + 1) * hs] for i in range(3))
+    z = (x @ wz + h @ uz + bz).sigmoid()
+    r = (x @ wr + h @ ur + br).sigmoid()
+    n = (x @ wn + (r * h) @ cell.un + bn).tanh()
+    return (1.0 - z) * n + z * h
+
+
+def test_fused_gru_matches_composite_formula():
+    rng = np.random.default_rng(11)
+    cell = to_float64(GruCell(3, 4, rng))
+    xd, hd = rng.standard_normal((5, 3)), rng.standard_normal((5, 4))
+    r = rng.standard_normal((5, 4))
+    results = []
+    for fn in (GruCell.__call__, _old_gru):
+        cell.zero_grad()
+        x, h = Tensor(xd), Tensor(hd)
+        out = fn(cell, x, h)
+        (out * r).sum().backward()
+        results.append([out.data, x.grad, h.grad]
+                       + [p.grad for p in cell.parameters()])
+    for a, b in zip(*results):
+        assert np.max(np.abs(a - b)) < 1e-10
+
+
+def test_gru_draws_its_initial_weights_gate_by_gate():
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    cell = GruCell(3, 4, rng)
+    bound = 1.0 / np.sqrt(4)
+    gates = [[ref.uniform(-bound, bound, s).astype(np.float32)
+              for s in ((3, 4), (4, 4), 4)] for _ in range(3)]
+    (wz, uz, bz), (wr, ur, br), (wn, un, bn) = gates
+    assert np.array_equal(cell.w.data, np.concatenate([wz, wr, wn], axis=1))
+    assert np.array_equal(cell.u.data, np.concatenate([uz, ur], axis=1))
+    assert np.array_equal(cell.un.data, un)
+    assert np.array_equal(cell.b.data, np.concatenate([bz, br, bn]))

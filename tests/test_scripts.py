@@ -59,9 +59,9 @@ def _checkpoint(tmp_path, method, **kw):
 # model (--random) and of each method's tiny checkpoint (_checkpoint)
 PROBE_DIGESTS = {
     "random": "2fc7cc2f2ec744be204dc79b517fd3a5f966ba34f4d1005ac49d978090ba8b6a",
-    "DEIR": "62f1f7e451c14fc784d61a7f325806e8e41c5dc91f079276654aea3887894c50",
+    "DEIR": "3ac36aaca0adf3cd6571c485b3087044550ca4b7904b20a64e1bf77dd7532d00",
     "ForwardError":
-        "67300e0994ac5a8107c3a5e66bb8aab6d1a7f29725abdb25711e96f9be291431",
+        "29d3f14c83b61a5232045aef909d5af154b7c6cbf870917f32944aa5d6ecd4a9",
 }
 
 
