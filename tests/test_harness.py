@@ -10,6 +10,7 @@ import struct
 import numpy as np
 import pytest
 
+from gridexplore import methods
 from gridexplore.envs import EnvSpec
 from gridexplore.harness import (
     CheckpointError,
@@ -591,7 +592,6 @@ def test_bonus_diagnostics_are_zero_without_their_part():
 @pytest.mark.parametrize("method", ["DEIR", "PlainNovelty"])
 def test_bonus_diagnostics_count_the_queue_and_discriminator(monkeypatch,
                                                              method):
-    from gridexplore import methods
     admitted = []
     update_queue = methods.update_queue
 
