@@ -93,11 +93,9 @@ class EpisodeOver(EnvError):
 class EnvSpec:
     task: str
     view_size: int = 7
-    noise_mu: float = 0.0
     noise_sigma: float = 0.0
     invisible_obstacles: bool = False
     max_steps: int | None = None  # None -> task default
-    time_penalty_coef: float = 0.9
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -108,8 +106,6 @@ class EnvSpec:
             raise ValueError("noise_sigma must be >= 0")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if not 0.0 <= self.time_penalty_coef <= 1.0:
-            raise ValueError("time_penalty_coef must be in [0, 1]")
 
 
 @dataclass
@@ -163,8 +159,13 @@ class GridWorld:
         )
 
 
-def step(world: GridWorld, action: Action, time_penalty_coef: float = 0.9):
-    """Advance the world one action. Returns (reward, done)."""
+# share of the goal reward an episode loses by using all its steps
+TIME_PENALTY_COEF = 0.9
+
+
+def step(world: GridWorld, action: Action):
+    """Advance the world one action. Returns (reward, done); reaching the
+    goal pays 1 - TIME_PENALTY_COEF * step_count / max_steps."""
     if world.done:
         raise EpisodeOver("step() after terminal")
     world.step_count += 1
@@ -182,7 +183,7 @@ def step(world: GridWorld, action: Action, time_penalty_coef: float = 0.9):
             world.agent_pos = (fx, fy)
             if int(world.obj[fx, fy]) == Obj.GOAL:
                 world.done = True
-                reward = 1.0 - time_penalty_coef * (
+                reward = 1.0 - TIME_PENALTY_COEF * (
                     world.step_count / world.max_steps
                 )
     elif action == Action.PICKUP:

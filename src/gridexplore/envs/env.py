@@ -59,8 +59,8 @@ class Env:
         # noise is drawn per worker, each from its own stream
         rngs = (self._noise_rngs if idx is None
                 else [self._noise_rngs[i] for i in idx])
-        mu, sigma = self.spec.noise_mu, self.spec.noise_sigma
-        net = np.stack([modifiers.apply_noise(row, mu, sigma, rng) for row, rng
+        sigma = self.spec.noise_sigma
+        net = np.stack([modifiers.apply_noise(row, sigma, rng) for row, rng
                         in zip(modifiers.normalize_obs(obs), rngs)])
         return StepResult(obs, net, reward, done,
                           core.state_id_batch(planes, worlds))
@@ -89,9 +89,8 @@ class Env:
             raise core.EnvError("step() before reset()")
         reward = np.zeros(self.n_workers)
         done = np.zeros(self.n_workers, dtype=bool)
-        coef = self.spec.time_penalty_coef
         for i, (world, a) in enumerate(zip(self.worlds, actions)):
-            reward[i], done[i] = core.step(world, Action(int(a)), coef)
+            reward[i], done[i] = core.step(world, Action(int(a)))
         return self._results(None, reward, done)
 
     def dump_state(self):

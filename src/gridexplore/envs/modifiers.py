@@ -39,15 +39,15 @@ def normalize_obs(obs: np.ndarray) -> np.ndarray:
     return obs.astype(np.float32) / _CHANNEL_MAX
 
 
-def apply_noise(obs: np.ndarray, mu: float, sigma: float, rng) -> np.ndarray:
-    """Add elementwise Gaussian noise to a normalized observation.
+def apply_noise(obs: np.ndarray, sigma: float, rng) -> np.ndarray:
+    """Add mean-zero elementwise Gaussian noise to a normalized float32
+    observation.
 
-    No clipping is applied; sigma = 0 returns the normalized input exactly
-    (no noise draw at all, keeping the RNG stream untouched).
+    No clipping is applied; sigma = 0 returns the input itself (no noise
+    draw at all, keeping the RNG stream untouched).
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    out = normalize_obs(obs) if obs.dtype != np.float32 else obs
-    if sigma == 0 and mu == 0:
-        return out
-    return out + rng.normal(mu, sigma, size=out.shape).astype(np.float32)
+    if sigma == 0:
+        return obs
+    return obs + rng.normal(0.0, sigma, size=obs.shape).astype(np.float32)

@@ -14,7 +14,8 @@ import tempfile
 from ..nn import BlobError, pack_arrays, unpack_arrays
 
 MAGIC = b"GXCK"
-VERSION = 3  # 2: uint8 grid planes and queue rows; 3: fused GRU weights
+VERSION = 4  # 2: uint8 grid planes and queue rows; 3: fused GRU weights;
+             # 4: meta config lines without the fixed PPO recipe
 
 
 class CheckpointError(Exception):

@@ -40,24 +40,13 @@ def _key(key, default):
 class ExperimentConfig:
     task: str = _key("env.task", "MultiRoomN2S4")
     view_size: int = _key("env.view_size", 7)
-    noise_mu: float = _key("env.noise_mu", 0.0)
     noise_sigma: float = _key("env.noise_sigma", 0.0)
     invisible_obstacles: bool = _key("env.invisible_obstacles", False)
     max_steps: int = _key("env.max_steps", 0)  # 0 -> task default
-    time_penalty_coef: float = _key("env.time_penalty_coef", 0.9)
-    gamma: float = _key("ppo.gamma", 0.99)
-    gae_lambda: float = _key("ppo.gae_lambda", 0.95)
     rollout_steps: int = _key("ppo.rollout_steps", 512)
     workers: int = _key("ppo.workers", 16)
-    clip: float = _key("ppo.clip", 0.2)
-    ppo_epochs: int = _key("ppo.epochs", 4)
     minibatch: int = _key("ppo.minibatch", 512)
-    entropy_coef: float = _key("ppo.entropy_coef", 1e-2)
-    value_coef: float = _key("ppo.value_coef", 0.5)
-    max_grad_norm: float = _key("ppo.max_grad_norm", 0.5)
-    adv_momentum: float = _key("ppo.adv_momentum", 0.9)
     lr: float = _key("ppo.lr", 3e-4)
-    adam_eps: float = _key("ppo.adam_eps", 1e-5)
     bptt_len: int = _key("ppo.bptt_len", 16)
     embed_dim: int = _key("ppo.embed_dim", 64)
     hidden: int = _key("ppo.hidden", 128)
@@ -65,8 +54,6 @@ class ExperimentConfig:
     norm: str = _key("ppo.norm", "batch")
     method_lr: float = _key("deir.lr", 3e-4)
     beta: float = _key("deir.beta", 1e-2)
-    ext_coef: float = _key("deir.ext_coef", 1.0)
-    ir_momentum: float = _key("deir.ir_momentum", 0.9)
     queue_size: int = _key("deir.queue_size", 100_000)
     queue_smoothing: float = _key("deir.queue_smoothing", 0.9)
     model_epochs: int = _key("deir.model_epochs", 4)
@@ -83,11 +70,9 @@ class ExperimentConfig:
         return EnvSpec(
             task=self.task,
             view_size=self.view_size,
-            noise_mu=self.noise_mu,
             noise_sigma=self.noise_sigma,
             invisible_obstacles=self.invisible_obstacles,
             max_steps=self.max_steps or None,
-            time_penalty_coef=self.time_penalty_coef,
         )
 
     def validate(self):
@@ -97,17 +82,14 @@ class ExperimentConfig:
             self.env_spec()  # re-run env-side validation
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        positive = ("rollout_steps", "workers", "minibatch", "ppo_epochs",
-                    "model_epochs", "model_minibatch", "bptt_len",
-                    "embed_dim", "hidden", "frames", "queue_size")
+        positive = ("rollout_steps", "workers", "minibatch", "model_epochs",
+                    "model_minibatch", "bptt_len", "embed_dim", "hidden",
+                    "frames", "queue_size")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("gamma", "gae_lambda", "clip", "adv_momentum",
-                     "ir_momentum", "queue_smoothing"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1]")
+        if not 0.0 <= self.queue_smoothing <= 1.0:
+            raise ConfigError("queue_smoothing must be in [0, 1]")
         if self.rollout_steps % self.bptt_len:
             raise ConfigError("rollout_steps must be divisible by bptt_len")
         if len(self.channels) != 3:

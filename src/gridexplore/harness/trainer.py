@@ -11,10 +11,11 @@ from ..envs import N_ACTIONS, EnvError, Env
 from ..methods import make_method
 from ..nn import Adam
 from ..ppo import (
+    GAE_LAMBDA,
+    GAMMA,
     ActorCritic,
     Collector,
     EmaStandardizer,
-    combine_rewards,
     compute_gae,
     ppo_update,
 )
@@ -43,17 +44,16 @@ class Trainer:
             hidden=cfg.hidden, channels=cfg.channels, norm=cfg.norm,
         )
         self.policy.eval()
-        self.opt = Adam(self.policy.parameters(), lr=cfg.lr, eps=cfg.adam_eps)
+        self.opt = Adam(self.policy.parameters(), lr=cfg.lr)
         self.method = make_method(cfg, _rng(seed, 2), cfg.workers)
         env = Env(spec, [seed * 100_000 + w for w in range(cfg.workers)])
         self.collector = Collector(env, self.policy, self.method,
                                    _rng(seed, 3))
         self.update_rng = _rng(seed, 4)
         self.method_rng = _rng(seed, 5)
-        self.ir_norm = EmaStandardizer(momentum=cfg.ir_momentum)
-        self.adv_norm = EmaStandardizer(momentum=cfg.adv_momentum)
+        self.ir_norm = EmaStandardizer()
+        self.adv_norm = EmaStandardizer()
         self.tracker = ExplorationTracker(cfg.workers)
-        self.beta = 0.0 if cfg.method == "NoIntrinsic" else cfg.beta
         self.frames = 0
         self.iteration = 0
         self.rows: list[MetricRow] = []
@@ -64,20 +64,15 @@ class Trainer:
         cfg = self.config
         buf = self.collector.collect(cfg.rollout_steps)
         raw = buf.raw_ir
-        rewards = combine_rewards(buf.ext_rewards, self.ir_norm(raw),
-                                  cfg.ext_coef, self.beta)
+        rewards = buf.ext_rewards + cfg.beta * self.ir_norm(raw)
         self.ir_norm.update(raw)
         adv, ret = compute_gae(rewards, buf.values, buf.dones, buf.bootstrap,
-                               cfg.gamma, cfg.gae_lambda)
+                               GAMMA, GAE_LAMBDA)
         self.adv_norm.update(adv)
         buf.advantages = self.adv_norm(adv)
         buf.returns = ret
-        stats = ppo_update(
-            self.policy, self.opt, buf, self.update_rng, clip=cfg.clip,
-            ent_coef=cfg.entropy_coef, value_coef=cfg.value_coef,
-            epochs=cfg.ppo_epochs, minibatch=cfg.minibatch,
-            bptt_len=cfg.bptt_len, max_grad_norm=cfg.max_grad_norm,
-        )
+        stats = ppo_update(self.policy, self.opt, buf, self.update_rng,
+                           minibatch=cfg.minibatch, bptt_len=cfg.bptt_len)
         mstats = self.method.update(buf, self.method_rng,
                                     epochs=cfg.model_epochs,
                                     minibatch=cfg.model_minibatch)

@@ -13,8 +13,6 @@ drawn from a queue of recent novel observations.
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .nn import EmbeddingModel, Mlp, Tensor, concat
@@ -222,7 +220,8 @@ def build_disc_batch(positives, q: ObservationQueue, size: int, rng):
     `positives` supplies aligned arrays obs_t, action (one-hot), obs_next
     (network form), clean_next (integer form), h_prev. Transitions whose
     negative draw fails are redrawn a bounded number of times; if the
-    queue cannot supply enough negatives the batch shrinks with a warning.
+    queue cannot supply enough negatives the batch shrinks (the CSV's
+    `neg_shortfall` column counts the negatives it lacks).
     """
     n = positives["obs_t"].shape[0]
     half = size // 2
@@ -235,11 +234,6 @@ def build_disc_batch(positives, q: ObservationQueue, size: int, rng):
         neg = sample_negative(q, positives["clean_next"][i], rng)
         if neg is not None:
             neg_rows.append((i, neg[1]))
-    if len(neg_rows) < half:
-        warnings.warn(
-            f"negative pool too small: {len(neg_rows)}/{half} negatives",
-            RuntimeWarning,
-        )
     neg_idx = np.array([i for i, _ in neg_rows], dtype=np.int64)
     idx = np.concatenate([pos_idx, neg_idx]).astype(np.int64)
     obs_x_pos = positives["obs_next"][pos_idx]

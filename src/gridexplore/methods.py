@@ -76,8 +76,7 @@ class _ModelMethod(NoIntrinsic):
     def __init__(self, cfg, rng, n_workers):
         self.n_workers = n_workers
         self.model = self._model(cfg, rng)
-        self.opt = Adam(self._trained_parameters(), lr=cfg.method_lr,
-                        eps=cfg.adam_eps)
+        self.opt = Adam(self._trained_parameters(), lr=cfg.method_lr)
         self.model.eval()
 
     def _trained_parameters(self):

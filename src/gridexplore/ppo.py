@@ -19,6 +19,15 @@ from .nn import (
 )
 
 
+# the PPO recipe every method trains under
+GAMMA = 0.99
+GAE_LAMBDA = 0.95
+CLIP = 0.2
+ENT_COEF = 1e-2
+VALUE_COEF = 0.5
+MAX_GRAD_NORM = 0.5
+
+
 class BufferError(Exception):
     pass
 
@@ -94,10 +103,6 @@ class RolloutBuffer:
         }
 
 
-def combine_rewards(r_ext, r_int_norm, coef_ext, beta):
-    return coef_ext * r_ext + beta * r_int_norm
-
-
 def compute_gae(rewards, values, dones, bootstrap, gamma, lam):
     """delta_t = r_t + g*V_{t+1}*(1-d_t) - V_t; A accumulates with g*lam."""
     if not (rewards.shape == values.shape == dones.shape):
@@ -160,9 +165,8 @@ def _segment_forward(model, obs, h0, done_prev):
     return concat(outs, axis=0)
 
 
-def ppo_update(model, optimizer, buffer: RolloutBuffer, rng, clip=0.2,
-               ent_coef=1e-2, value_coef=0.5, epochs=4, minibatch=512,
-               bptt_len=16, max_grad_norm=0.5):
+def ppo_update(model, optimizer, buffer: RolloutBuffer, rng, epochs=4,
+               minibatch=512, bptt_len=16):
     """Clipped-surrogate update; returns averaged loss statistics."""
     if buffer.consumed:
         raise BufferError("rollout buffer already consumed")
@@ -205,7 +209,7 @@ def ppo_update(model, optimizer, buffer: RolloutBuffer, rng, clip=0.2,
             logp = logp_all.take_rows(actions)
             ratio = (logp - Tensor(logp_old)).exp()
             surr1 = ratio * Tensor(adv)
-            surr2 = ratio.clip(1.0 - clip, 1.0 + clip) * Tensor(adv)
+            surr2 = ratio.clip(1.0 - CLIP, 1.0 + CLIP) * Tensor(adv)
             policy_obj = surr1.minimum(surr2).mean()
 
             v = model.value(traj).reshape(-1)
@@ -215,11 +219,11 @@ def ppo_update(model, optimizer, buffer: RolloutBuffer, rng, clip=0.2,
             probs = logp_all.exp()
             entropy = (probs * logp_all).sum(axis=1).mean() * -1.0
 
-            loss = (policy_obj * -1.0 + value_loss * value_coef
-                    + entropy * -ent_coef)
+            loss = (policy_obj * -1.0 + value_loss * VALUE_COEF
+                    + entropy * -ENT_COEF)
             model.zero_grad()
             loss.backward()
-            clip_grad_norm(model.parameters(), max_grad_norm)
+            clip_grad_norm(model.parameters(), MAX_GRAD_NORM)
             optimizer.step()
 
             with np.errstate(over="ignore"):
@@ -227,7 +231,7 @@ def ppo_update(model, optimizer, buffer: RolloutBuffer, rng, clip=0.2,
             stats["policy_loss"] += -float(policy_obj.data)
             stats["value_loss"] += float(value_loss.data)
             stats["entropy"] += float(entropy.data)
-            stats["clip_fraction"] += float(np.mean(np.abs(r - 1.0) > clip))
+            stats["clip_fraction"] += float(np.mean(np.abs(r - 1.0) > CLIP))
             stats["approx_kl"] += float(np.mean(logp_old - logp.data))
             n_updates += 1
     model.eval()

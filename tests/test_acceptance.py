@@ -20,7 +20,6 @@ import csv
 import dataclasses
 import os
 import time
-import warnings
 
 import numpy as np
 import pytest

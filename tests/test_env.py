@@ -377,30 +377,30 @@ def test_zero_noise_is_exact_identity():
     obs = generate(EnvSpec("FourRooms"), 1)
     o = observe(obs, EnvSpec("FourRooms"))
     rng = np.random.default_rng(0)
-    out = apply_noise(o, 0.0, 0.0, rng)
+    out = apply_noise(normalize_obs(o), 0.0, rng)
     assert np.array_equal(out, normalize_obs(o))
     assert out.dtype == np.float32
 
 
 def test_noise_rejects_negative_sigma():
-    o = np.zeros((3, 3, 3), dtype=np.uint8)
+    o = np.zeros((3, 3, 3), dtype=np.float32)
     with pytest.raises(ValueError):
-        apply_noise(o, 0.0, -1.0, np.random.default_rng(0))
+        apply_noise(o, -1.0, np.random.default_rng(0))
 
 
 def test_noise_mean_matches_mu():
-    # law-of-large-numbers check on the sampler
+    # law-of-large-numbers check on the sampler; its mean mu is 0
     n = 1_000_000
-    o = np.zeros((n // 100, 100, 1), dtype=np.uint8)
+    o = normalize_obs(np.zeros((n // 100, 100, 1), dtype=np.uint8))
     rng = np.random.default_rng(5)
-    mu, sigma = 0.25, 0.1
-    out = apply_noise(o, mu, sigma, rng)
-    assert abs(float(out.mean()) - mu) < 3 * sigma / np.sqrt(n)
+    sigma = 0.1
+    out = apply_noise(o, sigma, rng)
+    assert abs(float(out.mean())) < 3 * sigma / np.sqrt(n)
 
 
 def test_noise_is_not_clipped():
-    o = np.zeros((64, 64, 3), dtype=np.uint8)
-    out = apply_noise(o, 0.0, 1.0, np.random.default_rng(0))
+    o = normalize_obs(np.zeros((64, 64, 3), dtype=np.uint8))
+    out = apply_noise(o, 1.0, np.random.default_rng(0))
     assert (out < 0).any() and (out > 1).any()
 
 
@@ -575,7 +575,7 @@ class _ScalarWorker:
         obs = _scalar_observe(self.world, spec.view_size)
         if spec.invisible_obstacles:
             obs = hide_obstacles(obs)
-        net = apply_noise(obs, spec.noise_mu, spec.noise_sigma,
+        net = apply_noise(normalize_obs(obs), spec.noise_sigma,
                           self.noise_rng)
         return obs, net, reward, done, _scalar_state_id(self.world)
 
@@ -585,8 +585,7 @@ class _ScalarWorker:
         return self._result(0.0, False)
 
     def step(self, action):
-        reward, done = step(self.world, Action(action),
-                            self.spec.time_penalty_coef)
+        reward, done = step(self.world, Action(action))
         return self._result(reward, done)
 
 

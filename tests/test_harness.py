@@ -2,6 +2,7 @@
 the training loop's determinism/resume contract, and embedding probes."""
 import dataclasses
 import glob
+import inspect
 import json
 import math
 import os
@@ -10,8 +11,8 @@ import struct
 import numpy as np
 import pytest
 
-from gridexplore import methods
-from gridexplore.envs import EnvSpec
+from gridexplore import methods, ppo
+from gridexplore.envs import EnvSpec, core
 from gridexplore.harness import (
     CheckpointError,
     ConfigError,
@@ -35,6 +36,7 @@ from gridexplore.harness.config import config_lines
 from gridexplore.harness.outputs import OutputError
 from gridexplore.harness.probes import embed_dataset
 from gridexplore.intrinsic import DiscModel
+from gridexplore.nn import Adam
 from gridexplore.methods import METHODS
 from pinned_runs import DIGEST_CONFIGS, checkpoint_digest, training_digest
 from pinned_runs import tiny_config as _tiny_config
@@ -163,20 +165,22 @@ def test_metric_row_columns_order():
 
 def test_config_defaults_match_reference_hyperparameters():
     cfg = ExperimentConfig()
-    assert cfg.gamma == 0.99
-    assert cfg.gae_lambda == 0.95
     assert cfg.rollout_steps == 512
     assert cfg.workers == 16
-    assert cfg.ppo_epochs == 4
     assert cfg.model_epochs == 4
     assert cfg.minibatch == 512
-    assert cfg.entropy_coef == 1e-2
     assert cfg.lr == 3e-4
-    assert cfg.adam_eps == 1e-5
     assert cfg.beta == 1e-2
-    assert cfg.ext_coef == 1.0
     assert cfg.queue_size == 100_000
     assert cfg.queue_smoothing == 0.9
+    # the fixed recipe: constants and defaults next to the code using them
+    assert (ppo.GAMMA, ppo.GAE_LAMBDA, ppo.CLIP) == (0.99, 0.95, 0.2)
+    assert (ppo.ENT_COEF, ppo.VALUE_COEF, ppo.MAX_GRAD_NORM) == (
+        1e-2, 0.5, 0.5)
+    assert inspect.signature(ppo.ppo_update).parameters["epochs"].default == 4
+    assert inspect.signature(Adam).parameters["eps"].default == 1e-5
+    assert ppo.EmaStandardizer().momentum == 0.9
+    assert core.TIME_PENALTY_COEF == 0.9
 
 
 def test_load_config_file_and_overrides(tmp_path):
@@ -226,8 +230,7 @@ def test_validate_rejects_unknown_task_and_method():
 
 
 @pytest.mark.parametrize("pair", ["env.view_size=5", "env.noise_sigma=-1",
-                                  "env.max_steps=-1",
-                                  "env.time_penalty_coef=2"])
+                                  "env.max_steps=-1"])
 def test_load_config_rejects_bad_env_setting(pair):
     # the env's own ValueError must surface as a usage error
     with pytest.raises(ConfigError):
@@ -374,20 +377,23 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(back["stats"], arrays["stats"])
 
 
-def test_checkpoint_refuses_version_2_naming_both_versions(tmp_path):
-    # version 2 stored the GRU as nine gate arrays; version 3 fuses them
+@pytest.mark.parametrize("old", [2, 3])
+def test_checkpoint_refuses_old_version_naming_both_versions(tmp_path, old):
+    # version 2 stored the GRU as nine gate arrays, version 3 fused them;
+    # version 4 dropped the fixed PPO recipe from the meta's config lines
     path = str(tmp_path / "old.ckpt")
     save_checkpoint(path, {"frames": 512}, {"w": np.zeros(2, np.float32)})
     with open(path, "rb") as fh:
         data = fh.read()
     (length,) = struct.unpack("<Q", data[4:12])
     meta = json.loads(data[12 : 12 + length])
-    assert meta["version"] == 3
-    payload = json.dumps(dict(meta, version=2)).encode()
+    assert meta["version"] == 4
+    payload = json.dumps(dict(meta, version=old)).encode()
     with open(path, "wb") as fh:
         fh.write(data[:4] + struct.pack("<Q", len(payload)) + payload
                  + data[12 + length :])
-    with pytest.raises(CheckpointError, match=r"version 2\b.*version 3\b"):
+    with pytest.raises(CheckpointError,
+                       match=rf"version {old}\b.*version 4\b"):
         load_checkpoint(path)
 
 
@@ -498,22 +504,22 @@ def test_training_digest_is_pinned(case):
 
 # sha256 of the checkpoint each case's tiny run writes (pinned_runs.py)
 _CHECKPOINT_DIGESTS = {
-    "DEIR": "b31e99fedde2e7870a69b5e5903ebf12549f4af155e1b2b595ac5afc698bc081",
+    "DEIR": "a7dd0b16a7d4246c64ff3a458993b4eadacc4b82407382d6411ce86e482c38a9",
     "PlainNovelty":
-        "d7922e0e703feff647ecdb43141cd6d557943b81d2344d703bbc3de748ce48ce",
+        "7fe755da735da82deaca341357f52c7e0dd3b35a174cfdc2de83f2cc711849e1",
     "ForwardError":
-        "b2196bb4940b9c4fd709beb03dd4286ad908e6b607ab5294fccde376a8552f2b",
+        "b84bf619cb4add8aff99e4475a8b4666477a94f3a940b1346d13395716102014",
     "InverseDriven":
-        "8d4fd293214daf2f078d64a49a4bbbeb53cdb210e917b9ae7389b9ecb5243693",
-    "RND": "839f615cfc4053d7d26cef7a76614d0d06725fd3e57d2f945031bdf52f1fdc2c",
+        "0b9518bfc87f037f21a38be22e1a2e95b855abd622777abdf75ec1d7fbf70ffa",
+    "RND": "ae96a1eb5b80dba1e355806f8ed4c4ebe3b055b845568d981c553652555c42aa",
     "NoIntrinsic":
-        "44244de1338149e6b1611597e3c61b1151360cf1cd51412da1fcbc05b71a2e72",
+        "e115d14b703fa3505e7fd71032786413428b1d53b5ea137ba7efbacba9575eff",
     "DEIR-harsh":
-        "0cc8f7fefb7764e7856f2cc091d504cff4f8496297031c8d53327d840dd36a3b",
+        "6ae7e97148e57ae612669110dcf91eb98773eff96e034a7d70848209d59f2062",
     "DEIR-DoorKey8":
-        "27c73f4c6214b62c066ddd027ae0ed18085357aaed355484a28d0cb372023458",
+        "9eaef0cbf04a206987eeb3711a8631ace639cdcda6d63f84bdbaf74e83112336",
     "NoIntrinsic-minibatch16":
-        "a1ec0a013b8d179620b5f296ae5abef0b60f1907beffa737c5b94bf0d3394720",
+        "7a246d9175edb12d39b38f99517c677d0bc1229554e80ca0d3048ea6bdd0f8db",
 }
 
 
@@ -621,9 +627,8 @@ def test_neg_shortfall_counts_negatives_an_empty_queue_cannot_supply():
     t = Trainer(cfg, 1)
     buf = t.collector.collect(cfg.rollout_steps)
     t.method.queue = type(t.method.queue)(cfg.queue_size)  # empty
-    with pytest.warns(RuntimeWarning, match="negative pool too small"):
-        stats = t.method.update(buf, np.random.default_rng(0), epochs=2,
-                                minibatch=cfg.model_minibatch)
+    stats = t.method.update(buf, np.random.default_rng(0), epochs=2,
+                            minibatch=cfg.model_minibatch)
     batches = 2 * (buf.raw_ir.size // cfg.model_minibatch)
     assert stats["neg_shortfall"] == batches * cfg.model_minibatch // 2
     assert (stats["queue_len"], stats["queue_admit_frac"]) == (0, 0.0)
@@ -663,12 +668,15 @@ def test_run_experiment_csvs_bit_identical(tmp_path):
         assert a == b
 
 
-def test_no_intrinsic_forces_zero_beta():
-    cfg = _tiny_config(method="NoIntrinsic")
-    t = Trainer(cfg, 1)
-    assert t.beta == 0.0
-    row = t.train_iteration()
-    assert row.raw_ir_mean == 0.0
+def test_no_intrinsic_rows_do_not_depend_on_beta():
+    # NoIntrinsic's raw bonus is all zeros, so its standardized bonus is
+    # exactly 0 and beta scales nothing
+    rows = []
+    for beta in (0.01, 0.5):
+        t = Trainer(_tiny_config(method="NoIntrinsic", beta=beta), 1)
+        rows.append([t.train_iteration() for _ in range(2)])
+    assert rows[0] == rows[1]
+    assert all(row.raw_ir_mean == 0.0 for row in rows[0])
 
 
 # ---------------------------------------------------------------------------

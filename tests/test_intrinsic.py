@@ -281,12 +281,11 @@ def test_disc_batch_is_half_positive_half_negative():
             assert not np.array_equal(batch["obs_x"][i], pos["obs_next"][j])
 
 
-def test_disc_batch_empty_queue_warns_and_shrinks():
+def test_disc_batch_empty_queue_shrinks():
     rng = np.random.default_rng(4)
     pos = _positives(rng)
     q = ObservationQueue(max_size=8)
-    with pytest.warns(RuntimeWarning):
-        batch = build_disc_batch(pos, q, 16, rng)
+    batch = build_disc_batch(pos, q, 16, rng)
     assert batch["label"].sum() == 8 and len(batch["label"]) == 8
 
 

@@ -10,23 +10,10 @@ from gridexplore.ppo import (
     BufferError,
     Collector,
     EmaStandardizer,
-    combine_rewards,
     compute_gae,
     ppo_update,
     sample_actions,
 )
-
-
-# ---------------------------------------------------------------------------
-# Reward combination
-
-
-def test_combine_rewards_beta_zero_is_pure_extrinsic():
-    assert combine_rewards(0.7, 123.0, 1.0, 0.0) == 0.7
-
-
-def test_combine_rewards_hand_value():
-    assert combine_rewards(0.85, 2.0, 1.0, 0.01) == pytest.approx(0.87)
 
 
 # ---------------------------------------------------------------------------
