@@ -36,8 +36,8 @@ from gridexplore.harness.config import config_lines
 from gridexplore.harness.outputs import OutputError
 from gridexplore.harness.probes import embed_dataset
 from gridexplore.intrinsic import DiscModel
-from gridexplore.nn import Adam
 from gridexplore.methods import METHODS
+from gridexplore.nn import Adam
 from pinned_runs import DIGEST_CONFIGS, checkpoint_digest, training_digest
 from pinned_runs import tiny_config as _tiny_config
 
@@ -208,6 +208,9 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path.write_text("ppo.learning_rate = 1e-3\n")
     with pytest.raises(ConfigError):
         load_config(str(path))
+    # a key of the fixed PPO recipe, as older records carry, is unknown too
+    with pytest.raises(ConfigError, match="ppo.gamma"):
+        load_config(overrides={"ppo.gamma": "0.99"})
 
 
 def test_load_config_rejects_bad_value(tmp_path):
