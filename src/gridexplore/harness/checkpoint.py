@@ -14,8 +14,9 @@ import tempfile
 from ..nn import BlobError, pack_arrays, unpack_arrays
 
 MAGIC = b"GXCK"
-VERSION = 4  # 2: uint8 grid planes and queue rows; 3: fused GRU weights;
-             # 4: meta config lines without the fixed PPO recipe
+VERSION = 5  # 2: uint8 grid planes and queue rows; 3: fused GRU weights;
+             # 4: meta config lines without the fixed PPO recipe;
+             # 5: no queue network rows without noise
 
 
 class CheckpointError(Exception):

@@ -85,9 +85,11 @@ class ExperimentConfig:
         positive = ("rollout_steps", "workers", "minibatch", "model_epochs",
                     "model_minibatch", "bptt_len", "embed_dim", "hidden",
                     "frames", "queue_size")
-        for name in positive:
+        for name in positive + ("lr", "method_lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.beta < 0:
+            raise ConfigError("beta must be non-negative")
         if not 0.0 <= self.queue_smoothing <= 1.0:
             raise ConfigError("queue_smoothing must be in [0, 1]")
         if self.rollout_steps % self.bptt_len:

@@ -21,11 +21,13 @@ class MetricRow:
     # bonus diagnostics, 0 for a method without the part they describe:
     # negatives the queue could not supply to the discriminator batches,
     # queue length after the rollout, share of the rollout's steps the
-    # queue admitted, and the discriminator's batch accuracy
+    # queue admitted, the discriminator's batch accuracy, and the queue's
+    # running average of the bonus (its admission bar) after the rollout
     neg_shortfall: int = 0
     queue_len: int = 0
     queue_admit_frac: float = 0.0
     disc_acc: float = 0.0
+    queue_running_avg: float = 0.0
 
     @classmethod
     def columns(cls):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .envs import normalize_obs
 from .nn import EmbeddingModel, Mlp, Tensor, concat
 
 EPSILON = 1e-6
@@ -99,16 +100,21 @@ class ObservationQueue:
     Each entry is an (integer_obs, network_obs) pair: equality against a
     candidate positive is tested on the integer observation, while the
     network observation (normalized, possibly noisy) is what the
-    discriminator consumes. The entries live in two ring arrays whose
-    row shape and dtype come from the first push. A row is written only
+    discriminator consumes. The entries live in ring arrays whose row
+    shape and dtype come from the first push. Without noise
+    (`keep_net=False`) the network observation is `normalize_obs` of the
+    integer one, so only the integer ring is kept and the network row is
+    recomputed, bit for bit, when it is read. A row is written only
     when it is pushed and only live rows are copied out, so the unfilled
     part of a large ring is never touched. `pushes` counts the pushes
     since its reader last set it to 0; it is not saved.
     """
 
-    def __init__(self, max_size: int = 100_000, smoothing: float = 0.9):
+    def __init__(self, max_size: int = 100_000, smoothing: float = 0.9,
+                 keep_net: bool = True):
         self.max_size = max_size
         self.smoothing = smoothing
+        self.keep_net = keep_net
         self.running_avg = 0.0
         self._obs = self._net = None
         self._start = 0
@@ -122,12 +128,17 @@ class ObservationQueue:
         if not 0 <= i < self.count:
             raise IndexError(i)
         j = (self._start + i) % self.max_size
+        if not self.keep_net:
+            return self._obs[j], normalize_obs(self._obs[j])
         return self._obs[j], self._net[j]
 
     def _allocate(self, obs, net_obs):
-        obs, net_obs = np.asarray(obs), np.asarray(net_obs)
+        obs = np.asarray(obs)
         self._obs = np.empty((self.max_size,) + obs.shape, obs.dtype)
-        self._net = np.empty((self.max_size,) + net_obs.shape, net_obs.dtype)
+        if self.keep_net:
+            net_obs = np.asarray(net_obs)
+            self._net = np.empty((self.max_size,) + net_obs.shape,
+                                 net_obs.dtype)
 
     def push(self, obs, net_obs):
         """Append a pair, evicting the oldest when full."""
@@ -141,7 +152,8 @@ class ObservationQueue:
             self._start = (self._start + 1) % self.max_size
         self.pushes += 1
         self._obs[j] = obs
-        self._net[j] = net_obs
+        if self.keep_net:
+            self._net[j] = net_obs
 
     def state_arrays(self, prefix=""):
         """Running average and the live rows, oldest first."""
@@ -149,18 +161,21 @@ class ObservationQueue:
         if self.count:
             rows = (self._start + np.arange(self.count)) % self.max_size
             out[f"{prefix}obs"] = self._obs[rows]
-            out[f"{prefix}net"] = self._net[rows]
+            if self.keep_net:
+                out[f"{prefix}net"] = self._net[rows]
         return out
 
     def load_state(self, arrays, prefix=""):
         self.running_avg = float(arrays[f"{prefix}running_avg"][0])
         self._start = self.count = self.pushes = 0
         if f"{prefix}obs" in arrays:
-            obs, net = arrays[f"{prefix}obs"], arrays[f"{prefix}net"]
+            obs = arrays[f"{prefix}obs"]
+            net = arrays[f"{prefix}net"] if self.keep_net else obs
             self._allocate(obs[0], net[0])
             self.count = len(obs)
             self._obs[: self.count] = obs
-            self._net[: self.count] = net
+            if self.keep_net:
+                self._net[: self.count] = net
 
 
 def update_queue(q: ObservationQueue, obs, net_obs, r_i: float) -> None:

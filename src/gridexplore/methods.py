@@ -195,7 +195,8 @@ class _QueueMethod(_RecurrentMethod):
 
     def __init__(self, cfg, rng, n_workers):
         super().__init__(cfg, rng, n_workers)
-        self.queue = ObservationQueue(cfg.queue_size, cfg.queue_smoothing)
+        self.queue = ObservationQueue(cfg.queue_size, cfg.queue_smoothing,
+                                      keep_net=cfg.noise_sigma > 0)
 
     def _rewards(self, e_obs, actions, obs_next, clean_next, dones):
         r = super()._rewards(e_obs, actions, obs_next, clean_next, dones)
@@ -226,7 +227,8 @@ class _QueueMethod(_RecurrentMethod):
         return {**stats, "neg_shortfall": self._short,
                 "queue_len": len(self.queue),
                 "queue_admit_frac": admitted / buffer.raw_ir.size,
-                "disc_acc": self._correct / max(self._labels, 1)}
+                "disc_acc": self._correct / max(self._labels, 1),
+                "queue_running_avg": self.queue.running_avg}
 
     def extra_arrays(self, prefix=""):
         return {**super().extra_arrays(prefix),

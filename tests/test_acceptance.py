@@ -320,7 +320,8 @@ def _run_cached(tag, cfg, seed, weights=False, root=CACHE):
     return rows[-1], elapsed
 
 
-def _final_returns(tag, cfg):
+def _final_returns(tag):
+    cfg = CACHED_RUNS[tag]
     finals, elapsed = [], []
     for seed in cfg.seeds:
         row, secs = _run_cached(tag, cfg, seed)
@@ -337,7 +338,7 @@ def _final_returns(tag, cfg):
 
 @pytest.mark.slow
 def test_accept_desk_scale_learning():
-    finals, elapsed = _final_returns("c4_deir_clean", _desk_config())
+    finals, elapsed = _final_returns("c4_deir_clean")
     assert sum(r >= 0.6 for r in finals) >= 2, finals
     if all(e is not None for e in elapsed):
         assert sum(elapsed) <= 7200, elapsed
@@ -358,9 +359,21 @@ def _hard_config(**kw):
     return _desk_config(**base)
 
 
+# every cached run's tag and the config its gate trains it with;
+# scripts/rerecord.py re-records them from here
+CACHED_RUNS = {
+    "c4_deir_clean": _desk_config(),
+    "hard_nointrinsic_noisy": _hard_config(method="NoIntrinsic"),
+    "hard_deir_clean": _hard_config(noise_sigma=0.0),
+    "hard_deir_noisy": _hard_config(),
+    "hard_novelty_noisy": _hard_config(method="PlainNovelty"),
+    "hard_forward_noisy": _hard_config(method="ForwardError"),
+    "c8_deir_doorkey": _desk_config(task="DoorKey8", frames=300_000),
+}
+
+
 def _assert_needs_exploration():
-    control, _ = _final_returns("hard_nointrinsic_noisy",
-                                _hard_config(method="NoIntrinsic"))
+    control, _ = _final_returns("hard_nointrinsic_noisy")
     assert np.median(control) < _HARD_TASK_BAR, (
         f"NoIntrinsic reaches the {_HARD_TASK_BAR} bar without a bonus, so "
         f"this task cannot order the bonuses", control)
@@ -375,10 +388,9 @@ def _assert_needs_exploration():
 @pytest.mark.slow
 def test_accept_noise_robustness_ordering():
     _assert_needs_exploration()
-    clean, _ = _final_returns("hard_deir_clean", _hard_config(noise_sigma=0.0))
-    noisy, _ = _final_returns("hard_deir_noisy", _hard_config())
-    novelty, _ = _final_returns("hard_novelty_noisy",
-                                _hard_config(method="PlainNovelty"))
+    clean, _ = _final_returns("hard_deir_clean")
+    noisy, _ = _final_returns("hard_deir_noisy")
+    novelty, _ = _final_returns("hard_novelty_noisy")
     assert np.median(noisy) >= 0.5 * np.median(clean), (noisy, clean)
     assert np.median(noisy) > np.median(novelty), (noisy, novelty)
 
@@ -393,11 +405,9 @@ def test_accept_noise_robustness_ordering():
 @pytest.mark.slow
 def test_accept_ablation_ordering_noisy():
     _assert_needs_exploration()
-    deir, _ = _final_returns("hard_deir_noisy", _hard_config())
-    novelty, _ = _final_returns("hard_novelty_noisy",
-                                _hard_config(method="PlainNovelty"))
-    forward, _ = _final_returns("hard_forward_noisy",
-                                _hard_config(method="ForwardError"))
+    deir, _ = _final_returns("hard_deir_noisy")
+    novelty, _ = _final_returns("hard_novelty_noisy")
+    forward, _ = _final_returns("hard_forward_noisy")
     assert np.median(deir) > np.median(novelty), (deir, novelty)
     assert np.median(deir) > np.median(forward), (deir, forward)
     assert np.median(forward) <= 0.15, forward
@@ -504,7 +514,7 @@ def test_accept_discriminator_learnability():
 
 @pytest.mark.slow
 def test_accept_probe_ordering_door_key():
-    cfg = _desk_config(task="DoorKey8", frames=300_000)
+    cfg = CACHED_RUNS["c8_deir_doorkey"]
     spec = cfg.env_spec()
     trained_losses, random_losses = [], []
     for seed in cfg.seeds:

@@ -35,7 +35,7 @@ from gridexplore.harness import (
 from gridexplore.harness.config import config_lines
 from gridexplore.harness.outputs import OutputError
 from gridexplore.harness.probes import embed_dataset
-from gridexplore.intrinsic import DiscModel
+from gridexplore.intrinsic import DiscModel, ObservationQueue
 from gridexplore.methods import METHODS
 from gridexplore.nn import Adam
 from pinned_runs import DIGEST_CONFIGS, checkpoint_digest, training_digest
@@ -240,6 +240,20 @@ def test_load_config_rejects_bad_env_setting(pair):
         load_config(overrides=parse_overrides([pair]))
 
 
+@pytest.mark.parametrize("pair,name", [
+    ("ppo.lr=0", "lr"), ("ppo.lr=-1", "lr"), ("deir.lr=0", "method_lr"),
+    ("deir.lr=-3e-4", "method_lr"), ("deir.beta=-5", "beta")])
+def test_load_config_rejects_bad_tuning_value(pair, name):
+    # a negative step size ascends the loss, a zero one freezes the model,
+    # and a negative beta rewards revisits
+    with pytest.raises(ConfigError, match=rf"^{name} must be"):
+        load_config(overrides=parse_overrides([pair]))
+
+
+def test_load_config_accepts_zero_beta():
+    assert load_config(overrides={"deir.beta": "0"}).beta == 0.0
+
+
 def test_validate_rejects_indivisible_bptt():
     with pytest.raises(ConfigError):
         ExperimentConfig(rollout_steps=100, bptt_len=16).validate()
@@ -380,23 +394,24 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(back["stats"], arrays["stats"])
 
 
-@pytest.mark.parametrize("old", [2, 3])
+@pytest.mark.parametrize("old", [2, 3, 4])
 def test_checkpoint_refuses_old_version_naming_both_versions(tmp_path, old):
     # version 2 stored the GRU as nine gate arrays, version 3 fused them;
-    # version 4 dropped the fixed PPO recipe from the meta's config lines
+    # version 4 dropped the fixed PPO recipe from the meta's config lines;
+    # version 5 keeps no queue network rows without noise
     path = str(tmp_path / "old.ckpt")
     save_checkpoint(path, {"frames": 512}, {"w": np.zeros(2, np.float32)})
     with open(path, "rb") as fh:
         data = fh.read()
     (length,) = struct.unpack("<Q", data[4:12])
     meta = json.loads(data[12 : 12 + length])
-    assert meta["version"] == 4
+    assert meta["version"] == 5
     payload = json.dumps(dict(meta, version=old)).encode()
     with open(path, "wb") as fh:
         fh.write(data[:4] + struct.pack("<Q", len(payload)) + payload
                  + data[12 + length :])
     with pytest.raises(CheckpointError,
-                       match=rf"version {old}\b.*version 4\b"):
+                       match=rf"version {old}\b.*version 5\b"):
         load_checkpoint(path)
 
 
@@ -476,22 +491,22 @@ def test_trainer_resume_reproduces_next_rows(tmp_path, method, sigma):
 
 # sha256 of the CSV each case's tiny run writes (pinned_runs.py)
 _TRAINING_DIGESTS = {
-    "DEIR": "24b8493da8e2505422207874bee2361a93ab5c53b508a62e801167064726aba7",
+    "DEIR": "52bd0c68476948f5891c0e8e4509f6742f3253b171bf8e38c0fb27527b9285e8",
     "PlainNovelty":
-        "dc09919b59fbdc776457861ded07d1a51db8b16c85359f8a061ba085168e681c",
+        "f40619502b0906700202680f88fbe9557d563b25631497da4ffe071ed9c2e5c7",
     "ForwardError":
-        "6304acdb33d5500165cc911e24cd012adf0f3da1b9d3e5d63ecfb30d9b0a795c",
+        "deeb2b9d4d172f7fee87d693f262ebf066cead08cb906f7fc7435c0449696aa6",
     "InverseDriven":
-        "0138f75a4a917031ca0f03261770483be3b7b2d0b6def6bb31661b469f7ee462",
-    "RND": "dade91e96a22811272ef6960b7dc56f5f113192a5491ff30e47dbff1d0182064",
+        "536a52c587831ee5c925b27ea3c7dae6e6ca08f5cfa280dd901bbe4b6d4d82c7",
+    "RND": "9d73536fd45b79bf25428cb5f71d50fa02e8e8de3e992143615e77e168dda219",
     "NoIntrinsic":
-        "648ce87eb84c159882af6ccb56ddb012e0eaf60e9d5decdef91afd20bf262f1e",
+        "4d40ea20b97274d39d6760af23101a2f7f7bcfa898f67f5165e836de1d1f936b",
     "DEIR-harsh":
-        "6e1e6b40851ec05d6570eadabfd1b437722cbd2be794ceb42ba49f7c7f37d2ec",
+        "92c539d860480e0700c2955c47fee817aabf9cde7341cb16b1ee5e4064879f04",
     "DEIR-DoorKey8":
-        "3663dc832951ca893dac7ae22d6f67ed848fe0680efb2035395d6b5830154ca9",
+        "4b45ebd36421bf65fbdabc30d918ea8d9727635ff587717d188576a21f157508",
     "NoIntrinsic-minibatch16":
-        "32fea0524a2cc10cdd0355187fc10ab5b1dfe9b57a01e8e2b34d4814aa93b699",
+        "60348f2d76d85290d463cd924419c4dec08b44fa5244de56bd2b832b9cfc1752",
 }
 
 
@@ -507,22 +522,22 @@ def test_training_digest_is_pinned(case):
 
 # sha256 of the checkpoint each case's tiny run writes (pinned_runs.py)
 _CHECKPOINT_DIGESTS = {
-    "DEIR": "a7dd0b16a7d4246c64ff3a458993b4eadacc4b82407382d6411ce86e482c38a9",
+    "DEIR": "adcc42f163df4ed6aed219f2ed4e8cd4161df2796fe03df95baafa48dcab52af",
     "PlainNovelty":
-        "7fe755da735da82deaca341357f52c7e0dd3b35a174cfdc2de83f2cc711849e1",
+        "89b514fdad143f70bbaa3618e5b10decdc0b07eed85e6b596a43655876018593",
     "ForwardError":
-        "b84bf619cb4add8aff99e4475a8b4666477a94f3a940b1346d13395716102014",
+        "5a27737015041fc6271809bc99d6caf734d0745df7ec8c704cf5d0138bb7c94b",
     "InverseDriven":
-        "0b9518bfc87f037f21a38be22e1a2e95b855abd622777abdf75ec1d7fbf70ffa",
-    "RND": "ae96a1eb5b80dba1e355806f8ed4c4ebe3b055b845568d981c553652555c42aa",
+        "d3a0d774426610d25d2f0c9b0024cc799def90f5a3aba997e0dd38a39215c618",
+    "RND": "10680eb752950b48ef4f362476015294b5d1dea314f844e46f22e073dc356e3b",
     "NoIntrinsic":
-        "e115d14b703fa3505e7fd71032786413428b1d53b5ea137ba7efbacba9575eff",
+        "810ef314a6fc44da0d7b29daaf43e20fde02d5e23a6bd12837ceda0edd736973",
     "DEIR-harsh":
-        "6ae7e97148e57ae612669110dcf91eb98773eff96e034a7d70848209d59f2062",
+        "b0ab8d55392b2bfc862d081bae67b2d24d1e6fb4295736442d40c0f928bc1bac",
     "DEIR-DoorKey8":
-        "9eaef0cbf04a206987eeb3711a8631ace639cdcda6d63f84bdbaf74e83112336",
+        "f9c3f0fb327cb86449b401221cad0343f6877a6b6b6771602286d6f9633fadf0",
     "NoIntrinsic-minibatch16":
-        "7a246d9175edb12d39b38f99517c677d0bc1229554e80ca0d3048ea6bdd0f8db",
+        "881558089f81fa327a0f01b072eb4454166c4c8a5c795da91694f82d3aa9bc02",
 }
 
 
@@ -595,7 +610,8 @@ def test_bonus_diagnostics_are_zero_without_their_part():
     for method in ("NoIntrinsic", "ForwardError", "InverseDriven", "RND"):
         row = Trainer(_tiny_config(method=method), 1).train_iteration()
         assert (row.neg_shortfall, row.queue_len, row.queue_admit_frac,
-                row.disc_acc) == (0, 0, 0.0, 0.0), method
+                row.disc_acc, row.queue_running_avg) == (0, 0, 0.0, 0.0,
+                                                         0.0), method
 
 
 @pytest.mark.parametrize("method", ["DEIR", "PlainNovelty"])
@@ -618,11 +634,30 @@ def test_bonus_diagnostics_count_the_queue_and_discriminator(monkeypatch,
         row = t.train_iteration()
         assert row.queue_len == len(t.method.queue)
         assert row.queue_admit_frac == admitted[-1] / steps
+        assert row.queue_running_avg == t.method.queue.running_avg > 0.0
         assert row.neg_shortfall == 0
         assert 0.0 < row.disc_acc < 1.0
         for name in MetricRow.columns():
             assert math.isfinite(getattr(row, name)), name
     assert 0 < sum(admitted) <= t.method.queue.max_size
+
+
+def test_queue_without_noise_keeps_no_network_rows():
+    # without noise the network row is normalize_obs of the integer row,
+    # so a queue that derives it trains exactly as one that stores it
+    cfg = _tiny_config(queue_size=16)  # wraps within 3 iterations
+    lean, full = Trainer(cfg, 1), Trainer(cfg, 1)
+    assert not lean.method.queue.keep_net
+    full.method.queue = ObservationQueue(cfg.queue_size, cfg.queue_smoothing)
+    rows = [(lean.train_iteration(), full.train_iteration())
+            for _ in range(3)]
+    assert _tuples(r for r, _ in rows) == _tuples(r for _, r in rows)
+    assert len(lean.method.queue) == len(full.method.queue) == 16
+    for i in range(16):
+        for a, b in zip(lean.method.queue[i], full.method.queue[i]):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+    assert "mx.queue_net" in full.method.extra_arrays("mx.")
+    assert "mx.queue_net" not in lean.method.extra_arrays("mx.")
 
 
 def test_neg_shortfall_counts_negatives_an_empty_queue_cannot_supply():

@@ -16,6 +16,7 @@ from gridexplore.nn import (
     concat,
     no_grad,
 )
+from gridexplore.nn.tensor import _colsum, conv2d
 
 from gradcheck import max_grad_error, rand_tensor, to_float64
 
@@ -422,3 +423,74 @@ def test_gru_draws_its_initial_weights_gate_by_gate():
     assert np.array_equal(cell.u.data, np.concatenate([uz, ur], axis=1))
     assert np.array_equal(cell.un.data, un)
     assert np.array_equal(cell.b.data, np.concatenate([bz, br, bn]))
+
+
+# ---------------------------------------------------------------------------
+# Column sums, the conv2d backward layout and eval-mode batch norm
+
+
+def test_column_sum_matches_a_float64_reference():
+    rng = np.random.default_rng(7)
+    x = (rng.standard_normal((1024, 5, 5, 8)) * 3.0 + 1.0).astype(np.float32)
+    x64 = x.astype(np.float64)
+    got = _colsum(x)
+    assert got.dtype == np.float32 and got.shape == (8,)
+    # within a few float32 roundings of the summed magnitudes
+    tol = 16 * np.finfo(np.float32).eps * np.abs(x64).sum(axis=(0, 1, 2))
+    assert np.all(np.abs(got - x64.sum(axis=(0, 1, 2))) <= tol)
+    # keep=0 sums everything; keep=2 keeps the last two axes
+    assert np.isclose(_colsum(x, 0), x64.sum(), rtol=1e-5)
+    assert _colsum(x, 2).shape == (5, 8)
+    np.testing.assert_allclose(_colsum(x, 2), x64.sum(axis=(0, 1)),
+                               rtol=1e-5, atol=1e-3)
+
+
+def _scatter_by_slices(dcols, x_shape, k):
+    """The input gradient as the conv2d backward summed it before: k*k
+    strided adds straight from the (n, oh, ow, k*k, c) column gradient."""
+    _, h, w, _ = x_shape
+    oh, ow = h - k + 1, w - k + 1
+    dx = np.zeros(x_shape, dcols.dtype)
+    for i in range(k):
+        for j in range(k):
+            dx[:, i : i + oh, j : j + ow, :] += dcols[:, :, :, i * k + j]
+    return dx
+
+
+# the encoder's three 2x2 convs at view 7 and at view 3 (its first conv
+# zero-padded by one), and a 3x3 kernel
+@pytest.mark.parametrize("shape,k,out_ch,pad", [
+    ((16, 7, 7, 3), 2, 8, 0), ((16, 6, 6, 8), 2, 16, 0),
+    ((16, 5, 5, 16), 2, 16, 0), ((16, 3, 3, 3), 2, 8, 1),
+    ((16, 4, 4, 8), 2, 16, 0), ((16, 3, 3, 16), 2, 16, 0),
+    ((4, 7, 7, 3), 3, 5, 0)])
+def test_conv_backward_equals_the_slice_scatter_byte_for_byte(shape, k,
+                                                              out_ch, pad):
+    rng = np.random.default_rng(sum(shape) + k + pad)
+    data = rng.standard_normal(shape).astype(np.float32)
+    data = np.pad(data, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    x = Tensor(data)
+    w = Tensor(rng.standard_normal((k * k * shape[-1], out_ch))
+               .astype(np.float32))
+    b = Tensor(np.zeros(out_ch, np.float32))
+    out = conv2d(x, w, b, k)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    out.backward(g)
+    dcols = (g.reshape(-1, out_ch) @ w.data.T).reshape(
+        out.shape[:3] + (k * k, shape[-1]))
+    assert _bits(x.grad) == _bits(_scatter_by_slices(dcols, data.shape, k))
+
+
+@pytest.mark.parametrize("trial", range(5))
+def test_eval_batch_norm_gradients(trial):
+    # running stats as constants, folded into one scale and shift
+    rng = np.random.default_rng(400 + trial)
+    bn = _float64_norm(BatchNorm, rng, 3)
+    bn.eval()
+    x = rand_tensor(rng, 4, 2, 2, 3)
+    r = rng.standard_normal((4, 2, 2, 3))
+
+    def fn():
+        return ((bn(x) * r) ** 2).mean()
+
+    assert max_grad_error(fn, [x, bn.gamma, bn.beta]) < TOL

@@ -59,9 +59,9 @@ def _checkpoint(tmp_path, method, **kw):
 # model (--random) and of each method's tiny checkpoint (_checkpoint)
 PROBE_DIGESTS = {
     "random": "2fc7cc2f2ec744be204dc79b517fd3a5f966ba34f4d1005ac49d978090ba8b6a",
-    "DEIR": "3ac36aaca0adf3cd6571c485b3087044550ca4b7904b20a64e1bf77dd7532d00",
+    "DEIR": "018682271582f4dc3aa6d704b410674ac0b6a8619af94a192ca9b5a190bcfcaa",
     "ForwardError":
-        "29d3f14c83b61a5232045aef909d5af154b7c6cbf870917f32944aa5d6ecd4a9",
+        "dd61a1cd62ca866d21255d3a393040663bdad582c7d786aeac77ca8f0d12131f",
 }
 
 
@@ -107,3 +107,51 @@ def test_probe_refuses_a_method_without_an_embedding_model(tmp_path):
     assert res.returncode == 1
     assert "NoIntrinsic has no trajectory-embedding model" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_rerecord_rejects_an_unknown_cache():
+    res = _run("rerecord.py", "no_such_cache")
+    assert res.returncode == 2
+    assert "unknown cache 'no_such_cache'" in res.stderr
+    assert "c4_deir_clean" in res.stderr
+
+
+def test_rerecord_retrains_a_run_recorded_under_other_numerics(tmp_path):
+    # a cached run whose fingerprint is stale fails `_run_cached`;
+    # `rerecord_one` retrains it through `_run_cached`, after which the
+    # cache passes and its CSV is what this code trains
+    code = f"""
+import os, sys
+sys.path.insert(0, {SCRIPTS!r})
+import pytest, rerecord, test_acceptance
+from pinned_runs import tiny_config
+root, cfg = {str(tmp_path)!r}, tiny_config()
+test_acceptance._run_cached("tiny", cfg, 1, root=root)
+stem = os.path.join(root, "tiny", "seed1")
+fresh = open(stem + ".csv").read()
+record = open(stem + ".config").read()
+with open(stem + ".config", "w") as fh:
+    fh.write(record.replace("fingerprint = ", "fingerprint = 0"))
+try:
+    test_acceptance._run_cached("tiny", cfg, 1, root=root)
+except pytest.fail.Exception:
+    print("stale run refused")
+tag, seed, old, new, secs = rerecord.rerecord_one("tiny", cfg, 1, root)
+print(tag, seed, old == new, secs >= 0)
+print(open(stem + ".csv").read() == fresh,
+      open(stem + ".config").read() == record,
+      sorted(os.listdir(os.path.join(root, "tiny"))))
+row, _ = test_acceptance._run_cached("tiny", cfg, 1, root=root)
+print(float(row["mean_return"]) == new)
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=300,
+                         cwd=os.path.dirname(__file__))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "stale run refused",
+        "tiny 1 True True",
+        "True True ['seed1.config', 'seed1.csv', 'seed1.elapsed', "
+        "'seed1.weights']",
+        "True",
+    ]
