@@ -2,7 +2,7 @@
 """Re-record cached acceptance runs after a numerics change.
 
 Usage:
-    python3 scripts/rerecord.py [TAG ...] [--jobs N] [--root DIR]
+    python3 scripts/rerecord.py [TAG ...] [--jobs N]
 
 Each named cache under tests/acceptance_runs/ (all of them when none is
 named) is retrained, seed by seed, with the config its gate builds
@@ -14,10 +14,12 @@ with its final mean return before and after.
 """
 import argparse
 import csv
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+# set before numpy loads: each training process uses one BLAS thread
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 _ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tests")]
@@ -54,8 +56,6 @@ def main(argv=None):
                         help="caches to re-record (default: all)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="runs trained at once")
-    parser.add_argument("--root", default=test_acceptance.CACHE,
-                        help="cache directory")
     args = parser.parse_args(argv)
     runs = test_acceptance.CACHED_RUNS
     unknown = sorted(set(args.tags) - set(runs))
@@ -64,9 +64,11 @@ def main(argv=None):
                      f"{', '.join(runs)}")
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
-    jobs = [(tag, runs[tag], seed, args.root)
+    jobs = [(tag, runs[tag], seed, test_acceptance.CACHE)
             for tag in (args.tags or runs) for seed in runs[tag].seeds]
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=args.jobs,
+                             mp_context=multiprocessing.get_context(
+                                 "spawn")) as pool:
         futures = [pool.submit(rerecord_one, *job) for job in jobs]
         for future in futures:
             tag, seed, old, new, secs = future.result()
