@@ -22,6 +22,15 @@ def _colsum(a: np.ndarray, keep: int = 1) -> np.ndarray:
     return (np.ones(flat.shape[0], a.dtype) @ flat).reshape(tail)
 
 
+def _per_sample(v: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Per-feature vector `v` repeated over one sample of an array of
+    `shape` (its trailing axes). Broadcast against that array, numpy
+    loops over each sample's whole row, not over runs of one feature
+    vector; the values and their order are the same."""
+    tail = shape[1:] or shape
+    return v.reshape(1, -1).repeat(math.prod(tail) // v.size, 0).reshape(tail)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -175,7 +184,8 @@ class Tensor:
     # -- nonlinearities -------------------------------------------------
     def relu(self):
         mask = self.data > 0
-        out_data = np.where(mask, self.data, 0)
+        # +0.0 where x <= 0, -0.0 included, as np.where(mask, x, 0) gave
+        out_data = np.maximum(self.data, 0)
 
         def backward(out):
             self._accum(mask * out.grad)
@@ -392,11 +402,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, k: int) -> Tensor:
     """
     n, h, wd, c = x.data.shape
     oh, ow = h - k + 1, wd - k + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (k, k),
-                                                       axis=(1, 2))
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(
-        n * oh * ow, k * k * c)
-    out_data = (cols @ w.data + b.data).reshape(n, oh, ow, -1)
+    # window (p, q) at offset (i, j) reads x[:, p + i, q + j, :]
+    xc = np.ascontiguousarray(x.data)
+    s0, s1, s2, s3 = xc.strides
+    windows = np.ndarray((n, oh, ow, k, k, c), xc.dtype, xc,
+                         strides=(s0, s1, s2, s1, s2, s3))
+    cols = np.ascontiguousarray(windows).reshape(n * oh * ow, k * k * c)
+    out_data = (cols @ w.data).reshape(n, oh, ow, -1)
+    out_data += _per_sample(b.data, out_data.shape)
 
     def backward(out):
         g2d = out.grad.reshape(n * oh * ow, -1)
@@ -425,44 +438,65 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float,
     into one scale and shift per feature. Without them mean and var are
     the biased moments of x over `axes`, and the gradient flows through
     them too. Returns the output and the (mean, var) it used.
+
+    Per-feature operands are spread over whole sample rows
+    (`_per_sample`). The in-place updates keep the evaluation order of
+    the plain expressions; they assume gamma and beta share a dtype and
+    the output gradient is at least as wide as x, as in every module.
     """
+    shape = x.data.shape
+
+    def spread(v):
+        return _per_sample(v, shape)
+
     if stats is not None:
         mean, var = stats
         inv = 1.0 / np.sqrt(var + eps)
         scale = gamma.data * inv
-        out_data = x.data * scale + (beta.data - mean * scale)
+        out_data = x.data * spread(scale)
+        out_data += spread(beta.data - mean * scale)
 
         def backward(out):
             g = out.grad
-            gamma._accum(_colsum(g * ((x.data - mean) * inv)))
+            xhat = x.data - spread(mean)
+            xhat *= spread(inv)
+            gamma._accum(_colsum(g * xhat))
             beta._accum(_colsum(g))
-            x._accum(g * scale)
+            x._accum(g * spread(scale))
 
         return x._make(out_data, (x, gamma, beta), backward), mean, var
-    lead = tuple(range(x.data.ndim - 1))
-    n = x.data.size // x.data.shape[-1]
-
-    def mean_of(a):
-        """Mean over `axes`; over all lead axes (batch norm) as a BLAS
-        column sum."""
-        if tuple(axes) == lead:
+    n = x.data.size // shape[-1]
+    if tuple(axes) == tuple(range(x.data.ndim - 1)):
+        # batch norm: per-feature moments, each a BLAS column sum
+        def mean_of(a):
             return _colsum(a) / n
-        return a.mean(axis=axes, keepdims=True)
+
+        stat = spread
+    else:
+        def mean_of(a):
+            return a.mean(axis=axes, keepdims=True)
+
+        def stat(v):  # keepdims moments broadcast as they are
+            return v
 
     mean = mean_of(x.data)
-    centered = x.data - mean
-    var = mean_of(centered * centered)
+    xhat = x.data - stat(mean)  # centered here, scaled in place below
+    var = mean_of(xhat * xhat)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out_data = xhat * gamma.data + beta.data
+    xhat *= stat(inv)
+    out_data = xhat * spread(gamma.data)
+    out_data += spread(beta.data)
 
     def backward(out):
         g = out.grad
         gamma._accum(_colsum(g * xhat))
         beta._accum(_colsum(g))
-        d = g * gamma.data
-        d = d - mean_of(d) - xhat * mean_of(d * xhat)
-        x._accum(d * inv)
+        d = g * spread(gamma.data)
+        m, mx = mean_of(d), mean_of(d * xhat)
+        d -= stat(m)
+        d -= xhat * stat(mx)
+        d *= stat(inv)
+        x._accum(d)
 
     return x._make(out_data, (x, gamma, beta), backward), mean, var
 

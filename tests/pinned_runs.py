@@ -25,15 +25,16 @@ def tiny_config(**kw):
     return ExperimentConfig(**base)
 
 
-# each method at noise 0.1, DEIR in the ordering gates' harsh setting
-# (view 3, which pads the first conv, with hidden obstacles) and on
-# DoorKey8, and PPO with one segment per minibatch (at 64, one minibatch
-# holds every segment, so the order in which segments are gathered would
-# go unseen)
+# each method at noise 0.1; DEIR in the ordering gates' harsh setting
+# (view 3, which pads the first conv, with hidden obstacles), on DoorKey8
+# and with layer norm in place of batch norm; and PPO with one segment
+# per minibatch (at 64, one minibatch holds every segment, so the order in
+# which segments are gathered would go unseen)
 DIGEST_CONFIGS = {
     **{method: dict(method=method, noise_sigma=0.1) for method in METHODS},
     "DEIR-harsh": dict(view_size=3, noise_sigma=0.3, invisible_obstacles=True),
     "DEIR-DoorKey8": dict(task="DoorKey8", noise_sigma=0.1),
+    "DEIR-layer": dict(norm="layer", noise_sigma=0.1),
     "NoIntrinsic-minibatch16": dict(method="NoIntrinsic", minibatch=16),
 }
 

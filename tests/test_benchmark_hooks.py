@@ -15,6 +15,7 @@ from pinned_runs import tiny_config
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 
 from checks import array_mismatches, model_arrays  # noqa: E402
+from run import blas_context  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 from gridexplore.harness import Trainer  # noqa: E402
@@ -68,3 +69,11 @@ def test_traced_iteration_matches_untraced(tmp_path):
     restored = Trainer.from_checkpoint(path)
     assert array_mismatches(model_arrays(trainer),
                             model_arrays(restored)) == []
+
+
+def test_the_test_session_runs_blas_on_one_thread(monkeypatch):
+    # tests/conftest.py pins it: the cached acceptance runs were recorded
+    # on one thread, and some BLAS sums round differently on two. With
+    # the variable blanked, the count can only come from OpenBLAS itself.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
+    assert blas_context()[1] == 1

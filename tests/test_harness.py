@@ -505,6 +505,8 @@ _TRAINING_DIGESTS = {
         "92c539d860480e0700c2955c47fee817aabf9cde7341cb16b1ee5e4064879f04",
     "DEIR-DoorKey8":
         "4b45ebd36421bf65fbdabc30d918ea8d9727635ff587717d188576a21f157508",
+    "DEIR-layer":
+        "8a9be893f9206f9afc2cc5a50027816060a5db123658d3c43f048e993ac2d706",
     "NoIntrinsic-minibatch16":
         "60348f2d76d85290d463cd924419c4dec08b44fa5244de56bd2b832b9cfc1752",
 }
@@ -536,6 +538,8 @@ _CHECKPOINT_DIGESTS = {
         "b0ab8d55392b2bfc862d081bae67b2d24d1e6fb4295736442d40c0f928bc1bac",
     "DEIR-DoorKey8":
         "f9c3f0fb327cb86449b401221cad0343f6877a6b6b6771602286d6f9633fadf0",
+    "DEIR-layer":
+        "9dd8535745d2691ebd1a3dd21c9ef8e293709633e968ff4ea82b48d15859dee5",
     "NoIntrinsic-minibatch16":
         "881558089f81fa327a0f01b072eb4454166c4c8a5c795da91694f82d3aa9bc02",
 }

@@ -16,7 +16,7 @@ from gridexplore.nn import (
     concat,
     no_grad,
 )
-from gridexplore.nn.tensor import _colsum, conv2d
+from gridexplore.nn.tensor import _colsum, conv2d, normalize
 
 from gradcheck import max_grad_error, rand_tensor, to_float64
 
@@ -103,8 +103,9 @@ def _bits(a):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("pad", [0, 1])
 def test_conv_primitive_is_bit_equal_to_slice_composition(pad, dtype, uses):
-    # float32 weights on float32 or float64 activations, as in training
-    # (train-mode BatchNorm returns float64). With more than one use the
+    # float32 weights on float32 activations, as in training, and on
+    # float64 ones, as in the gradchecks' float64 layers. With more than
+    # one use the
     # weight and bias gradients sum several terms, as in `embed_pair`, so
     # the order in which they accumulate is pinned too; the relus put
     # signed zeros into the gradients.
@@ -494,3 +495,123 @@ def test_eval_batch_norm_gradients(trial):
         return ((bn(x) * r) ** 2).mean()
 
     assert max_grad_error(fn, [x, bn.gamma, bn.beta]) < TOL
+
+
+# ---------------------------------------------------------------------------
+# relu, normalize and the conv2d forward against the formulas they had
+# before their operands were spread over whole sample rows, kept here as
+# the reference: byte for byte
+
+
+def _old_relu(a):
+    return np.where(a > 0, a, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 7, 31, 257, 1001])
+def test_relu_is_bit_equal_to_the_masked_select(n, dtype):
+    rng = np.random.default_rng(n)
+    base = rng.standard_normal((3, n + 4, 5, 3)).astype(dtype)
+    base[..., 0] = -0.0
+    base[:, ::4, :, 1] = 0.0
+    views = [base.reshape(-1)[:n], base[:, 1::2, ::2, 1:]]  # odd, strided
+    for data in views:
+        x = Tensor(data)
+        out = x.relu()
+        want = _old_relu(data)
+        assert _bits(out.data) == _bits(want)
+        assert not np.signbit(out.data[data <= 0]).any()  # +0.0, never -0.0
+        g = rng.standard_normal(data.shape).astype(dtype)
+        out.backward(g)
+        assert _bits(x.grad) == _bits((data > 0) * g)
+
+
+def _old_normalize(x, gamma, beta, axes, eps, g, stats=None):
+    """Output, mean, var and the x, gamma and beta gradients of
+    `normalize`, by its formulas with per-feature broadcasting."""
+    if stats is not None:
+        mean, var = stats
+        inv = 1.0 / np.sqrt(var + eps)
+        scale = gamma * inv
+        out = x * scale + (beta - mean * scale)
+        return (out, mean, var, g * scale, _colsum(g * ((x - mean) * inv)),
+                _colsum(g))
+    n = x.size // x.shape[-1]
+
+    def mean_of(a):
+        if tuple(axes) == tuple(range(x.ndim - 1)):
+            return _colsum(a) / n
+        return a.mean(axis=axes, keepdims=True)
+
+    mean = mean_of(x)
+    centered = x - mean
+    var = mean_of(centered * centered)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    out = xhat * gamma + beta
+    d = g * gamma
+    d = d - mean_of(d) - xhat * mean_of(d * xhat)
+    return out, mean, var, d * inv, _colsum(g * xhat), _colsum(g)
+
+
+# the encoder's norms at desk widths (8/16/16, embed 16): view 7, view 3
+# with the padded first conv, and the 2-D inputs of `fc_norm` and `Mlp`
+_NORM_SHAPES = [(64, 7, 7, 3), (64, 6, 6, 8), (64, 5, 5, 16), (64, 4, 4, 16),
+                (64, 3, 3, 3), (64, 4, 4, 8), (64, 3, 3, 16), (64, 2, 2, 16),
+                (64, 16), (64, 32)]
+
+
+@pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["train", "eval", "layer"])
+@pytest.mark.parametrize("shape", _NORM_SHAPES)
+def test_normalize_is_bit_equal_to_the_broadcast_formulas(shape, mode,
+                                                          grad_dtype):
+    # a float64 output gradient into float32 activations, as a float64
+    # loss gives, must come back as wide as the broadcast formulas made it
+    rng = np.random.default_rng(sum(shape) + len(mode))
+    c = shape[-1]
+    data = (rng.standard_normal(shape) * 3.0 + 1.0).astype(np.float32)
+    gd, bd = (rng.standard_normal(c).astype(np.float32) for _ in range(2))
+    g = rng.standard_normal(shape).astype(grad_dtype)
+    axes = (-1,) if mode == "layer" else tuple(range(len(shape) - 1))
+    stats = None
+    if mode == "eval":
+        stats = (rng.standard_normal(c).astype(np.float32),
+                 rng.uniform(0.5, 2.0, c).astype(np.float32))
+    eps = BatchNorm.eps
+    x, gamma, beta = Tensor(data), Tensor(gd), Tensor(bd)
+    out, mean, var = normalize(x, gamma, beta, axes, eps, stats)
+    out.backward(g)
+    got = (out.data, mean, var, x.grad, gamma.grad, beta.grad)
+    want = _old_normalize(data, gd, bd, axes, eps, g, stats)
+    for a, b in zip(got, want):
+        assert _bits(a) == _bits(b)
+
+
+def _old_conv2d_out(x, w, b, k):
+    n, h, wd, c = x.shape
+    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(
+        -1, k * k * c)
+    return (cols @ w + b).reshape(n, h - k + 1, wd - k + 1, -1), cols
+
+
+@pytest.mark.parametrize("view", ["strided", "transposed", "offset",
+                                  "channels"])
+def test_conv_window_view_is_bit_equal_on_a_non_contiguous_input(view):
+    rng = np.random.default_rng(len(view))
+    base = rng.standard_normal((9, 11, 11, 6)).astype(np.float32)
+    data = {"strided": base[:, 1::2, ::2, :3],
+            "transposed": base[..., :3].transpose(0, 2, 1, 3),
+            "offset": base[1:],  # contiguous, not at its buffer's start
+            "channels": base[..., 2:5]}[view]
+    c = data.shape[-1]
+    w = rng.standard_normal((4 * c, 8)).astype(np.float32)
+    b = rng.standard_normal(8).astype(np.float32)
+    x, wt = Tensor(data), Tensor(w)
+    out = conv2d(x, wt, Tensor(b), 2)
+    want, cols = _old_conv2d_out(data, w, b, 2)
+    assert _bits(out.data) == _bits(want)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    out.backward(g)
+    assert _bits(wt.grad) == _bits(cols.T @ g.reshape(-1, 8))
