@@ -184,7 +184,7 @@ class Tensor:
     # -- nonlinearities -------------------------------------------------
     def relu(self):
         mask = self.data > 0
-        # +0.0 where x <= 0, -0.0 included, as np.where(mask, x, 0) gave
+        # +0.0 wherever x <= 0, for x = -0.0 too (pinned in test_layers.py)
         out_data = np.maximum(self.data, 0)
 
         def backward(out):
