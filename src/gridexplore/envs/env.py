@@ -50,25 +50,23 @@ class Env:
         self.worlds: list[GridWorld | None] = [None] * self.n_workers
 
     def _results(self, idx, reward, done):
-        """StepResult of the workers `idx` (all workers when None)."""
-        planes = self.planes if idx is None else self.planes[:, idx]
-        worlds = self.worlds if idx is None else [self.worlds[i] for i in idx]
+        """StepResult of the workers `idx`, in that order."""
+        planes = self.planes[:, idx]
+        worlds = [self.worlds[i] for i in idx]
         obs = core.observe_batch(planes, worlds, self.spec.view_size)
         if self.spec.invisible_obstacles:
             obs = modifiers.hide_obstacles(obs)
         # noise is drawn per worker, each from its own stream
-        rngs = (self._noise_rngs if idx is None
-                else [self._noise_rngs[i] for i in idx])
         sigma = self.spec.noise_sigma
-        net = np.stack([modifiers.apply_noise(row, sigma, rng) for row, rng
-                        in zip(modifiers.normalize_obs(obs), rngs)])
+        net = np.stack([modifiers.apply_noise(row, sigma, self._noise_rngs[i])
+                        for row, i in zip(modifiers.normalize_obs(obs), idx)])
         return StepResult(obs, net, reward, done,
                           core.state_id_batch(planes, worlds))
 
     def reset(self, workers=None) -> StepResult:
         """Fresh layouts for `workers` (indices; all when None); the
         result has one row per reset worker, in the order given."""
-        idx = range(self.n_workers) if workers is None else workers
+        idx = list(range(self.n_workers) if workers is None else workers)
         for i in idx:
             seed = int(self._layout_rngs[i].integers(2**31))
             world = layouts.generate(self.spec, seed)
@@ -80,8 +78,7 @@ class Env:
                 setattr(world, plane, self.planes[k, i])
             self.worlds[i] = world
         n = len(idx)
-        return self._results(None if workers is None else list(idx),
-                             np.zeros(n), np.zeros(n, dtype=bool))
+        return self._results(idx, np.zeros(n), np.zeros(n, dtype=bool))
 
     def step(self, actions) -> StepResult:
         """Advance every worker by its action; one row per worker."""
@@ -91,7 +88,7 @@ class Env:
         done = np.zeros(self.n_workers, dtype=bool)
         for i, (world, a) in enumerate(zip(self.worlds, actions)):
             reward[i], done[i] = core.step(world, Action(int(a)))
-        return self._results(None, reward, done)
+        return self._results(range(self.n_workers), reward, done)
 
     def dump_state(self):
         """(metas, arrays) that `load_state` restores the workers from: per

@@ -94,8 +94,19 @@ class ExperimentConfig:
             raise ConfigError("queue_smoothing must be in [0, 1]")
         if self.rollout_steps % self.bptt_len:
             raise ConfigError("rollout_steps must be divisible by bptt_len")
-        if len(self.channels) != 3:
-            raise ConfigError("channels needs exactly 3 entries")
+        if len(self.channels) != 3 or min(self.channels) <= 0:
+            raise ConfigError("channels must be 3 positive widths")
+        if not self.seeds:
+            raise ConfigError("seeds must be non-empty")
+        # a run trains on whole rollouts, and the bonus model on whole
+        # batches of one rollout
+        rollout = self.rollout_steps * self.workers
+        if self.frames < rollout:
+            raise ConfigError("frames must be at least one rollout "
+                              "(rollout_steps * workers)")
+        if self.model_minibatch > rollout:
+            raise ConfigError("model_minibatch must be at most one rollout "
+                              "(rollout_steps * workers)")
         if self.norm not in ("batch", "layer", "none"):
             raise ConfigError(f"unknown norm {self.norm!r}")
         return self

@@ -77,22 +77,15 @@ class ExplorationTracker:
     def update(self, states, dones):
         """states: per-step list of per-worker fingerprints; dones: array
         (n_steps, n_workers). Returns rollout (episodic_eff, lifelong_eff)."""
-        n_workers = len(self._episode_seen)
-        ep_total = 0.0
-        life_total = 0.0
         steps = len(states)
-        for w in range(n_workers):
-            stream = [states[t][w] for t in range(steps)]
-            starts = [False] * steps
-            starts[0] = self._fresh_start[w]
-            for t in range(1, steps):
-                starts[t] = bool(dones[t - 1][w])
-            ep, life, seen = exploration_metrics(
+        ep_total = life_total = 0.0
+        for w, stream in enumerate(zip(*states)):
+            starts = [self._fresh_start[w], *dones[:-1, w]]
+            ep, life, self._episode_seen[w] = exploration_metrics(
                 stream, starts, self.lifetime, self._episode_seen[w]
             )
-            self._episode_seen[w] = seen
-            self._fresh_start[w] = bool(dones[steps - 1][w])
+            self._fresh_start[w] = bool(dones[-1, w])
             ep_total += ep * steps
             life_total += life * steps
-        total = steps * n_workers
+        total = steps * len(self._fresh_start)
         return ep_total / total, life_total / total

@@ -13,8 +13,6 @@ class OutputError(Exception):
 
 
 def _fmt(value):
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, int):
         return str(value)
     return format(float(value), ".6g")

@@ -99,13 +99,11 @@ class Trainer:
         self.rows.append(row)
         return row
 
-    def run(self, frames=None, csv_path=None, checkpoint_path=None,
-            progress=False):
+    def run(self, csv_path=None, checkpoint_path=None, progress=False):
         cfg = self.config
-        frames = frames if frames is not None else cfg.frames
         per_iter = cfg.rollout_steps * cfg.workers
         start = time.monotonic()
-        while self.frames + per_iter <= frames:
+        while self.frames + per_iter <= cfg.frames:
             row = self.train_iteration()
             if progress and self.iteration % cfg.log_every == 0:
                 elapsed = time.monotonic() - start
@@ -126,11 +124,13 @@ class Trainer:
     # -- exact-resume checkpointing ---------------------------------------
 
     def _parts(self):
-        """(checkpoint prefix, part) of every network and optimizer."""
+        """(checkpoint prefix, part) of every network and optimizer, then
+        the bonus method's own state."""
         m = self.method
         return [("policy.", self.policy), ("popt.", self.opt),
                 *((f"m.{k}.", v) for k, v in m.modules().items()),
-                *((f"mo.{k}.", v) for k, v in m.optimizers().items())]
+                *((f"mo.{k}.", v) for k, v in m.optimizers().items()),
+                ("mx.", m)]
 
     def save(self, path):
         c = self.collector
@@ -158,7 +158,6 @@ class Trainer:
         arrays = {}
         for prefix, part in self._parts():
             arrays.update(part.state_arrays(prefix))
-        arrays.update(self.method.extra_arrays("mx."))
         arrays["collector.cur_obs"] = c.cur_obs
         arrays["collector.policy_hidden"] = c.policy_hidden
         meta["envs"], planes = c.env.dump_state()
@@ -195,7 +194,6 @@ class Trainer:
             for prefix, part in self._parts():
                 part.load_state(arrays, prefix)
             self.collector.env.load_state(meta["envs"], arrays)
-            self.method.load_extra(arrays, "mx.")
         except KeyError as exc:
             raise CheckpointError(f"missing checkpoint array {exc}") from exc
         except EnvError as exc:

@@ -57,10 +57,12 @@ class NoIntrinsic:
     def optimizers(self):
         return {}
 
-    def extra_arrays(self, prefix=""):
+    def state_arrays(self, prefix=""):
+        """Checkpoint arrays of the per-worker state the models do not
+        hold; `load_state` restores them."""
         return {}
 
-    def load_extra(self, arrays, prefix=""):
+    def load_state(self, arrays, prefix=""):
         pass
 
 
@@ -168,7 +170,7 @@ class _RecurrentMethod(_ModelMethod):
     def _bonus(self, e_obs, w, done):
         return intrinsic_reward(e_obs, self.h[w], self.memories[w], done)
 
-    def extra_arrays(self, prefix=""):
+    def state_arrays(self, prefix=""):
         out = {f"{prefix}h": self.h, f"{prefix}h_before": self._h_before,
                f"{prefix}e_cur": self.e_cur}
         for w, mem in enumerate(self.memories):
@@ -176,7 +178,7 @@ class _RecurrentMethod(_ModelMethod):
             out[f"{prefix}mem{w}_traj"] = mem.traj.copy()
         return out
 
-    def load_extra(self, arrays, prefix=""):
+    def load_state(self, arrays, prefix=""):
         self.h = arrays[f"{prefix}h"]
         self._h_before = arrays[f"{prefix}h_before"]
         self.e_cur = arrays[f"{prefix}e_cur"]
@@ -230,12 +232,12 @@ class _QueueMethod(_RecurrentMethod):
                 "disc_acc": self._correct / max(self._labels, 1),
                 "queue_running_avg": self.queue.running_avg}
 
-    def extra_arrays(self, prefix=""):
-        return {**super().extra_arrays(prefix),
+    def state_arrays(self, prefix=""):
+        return {**super().state_arrays(prefix),
                 **self.queue.state_arrays(prefix + "queue_")}
 
-    def load_extra(self, arrays, prefix=""):
-        super().load_extra(arrays, prefix)
+    def load_state(self, arrays, prefix=""):
+        super().load_state(arrays, prefix)
         self.queue.load_state(arrays, prefix + "queue_")
 
 

@@ -10,8 +10,6 @@ EPS_NORM = 1e-8  # sigma floor shared by both normalization modes
 
 def orthogonal(rng: np.random.Generator, shape, gain=1.0):
     a = rng.standard_normal(shape)
-    if a.ndim < 2:
-        return (gain * a).astype(np.float32)
     q, r = np.linalg.qr(a if shape[0] >= shape[1] else a.T)
     q = q * np.sign(np.diag(r))
     if shape[0] < shape[1]:

@@ -34,10 +34,6 @@ class Adam:
             v += (1 - b2) * g * g
             p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
     def state_arrays(self, prefix=""):
         out = {f"{prefix}t": np.array([float(self.t)])}
         for i, (m, v) in enumerate(zip(self.m, self.v)):

@@ -4,7 +4,7 @@ worker-contiguous segments from stored hidden states."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,48 +47,29 @@ class ActorCritic(EmbeddingModel):
         return self.policy(traj), self.value(traj), traj
 
 
-@dataclass
 class RolloutBuffer:
     """(n_steps, n_workers)-shaped transition storage."""
 
-    n_steps: int
-    n_workers: int
-    obs: np.ndarray
-    obs_next: np.ndarray
-    clean_next: np.ndarray
-    actions: np.ndarray
-    log_probs: np.ndarray
-    values: np.ndarray
-    ext_rewards: np.ndarray
-    raw_ir: np.ndarray
-    dones: np.ndarray
-    policy_h: np.ndarray  # hidden before the step
-    disc_h: np.ndarray  # bonus model hidden before the step
-    bootstrap: np.ndarray
-    states: list = field(default_factory=list)  # per-step state fingerprints
-    advantages: np.ndarray | None = None
-    returns: np.ndarray | None = None
-    consumed: bool = False
+    def __init__(self, n_steps, n_workers, obs_shape, hidden, disc_hidden):
+        def z(tail, dtype):
+            return np.zeros((n_steps, n_workers) + tail, dtype)
 
-    @classmethod
-    def empty(cls, n_steps, n_workers, obs_shape, hidden, disc_hidden):
-        z = np.zeros
-        return cls(
-            n_steps=n_steps,
-            n_workers=n_workers,
-            obs=z((n_steps, n_workers) + obs_shape, np.float32),
-            obs_next=z((n_steps, n_workers) + obs_shape, np.float32),
-            clean_next=z((n_steps, n_workers) + obs_shape, np.uint8),
-            actions=z((n_steps, n_workers), np.int64),
-            log_probs=z((n_steps, n_workers), np.float64),
-            values=z((n_steps, n_workers), np.float64),
-            ext_rewards=z((n_steps, n_workers), np.float64),
-            raw_ir=z((n_steps, n_workers), np.float64),
-            dones=z((n_steps, n_workers), bool),
-            policy_h=z((n_steps, n_workers, hidden), np.float32),
-            disc_h=z((n_steps, n_workers, disc_hidden), np.float32),
-            bootstrap=z(n_workers, np.float64),
-        )
+        self.n_steps, self.n_workers = n_steps, n_workers
+        self.obs = z(obs_shape, np.float32)
+        self.obs_next = z(obs_shape, np.float32)
+        self.clean_next = z(obs_shape, np.uint8)
+        self.actions = z((), np.int64)
+        self.log_probs = z((), np.float64)
+        self.values = z((), np.float64)
+        self.ext_rewards = z((), np.float64)
+        self.raw_ir = z((), np.float64)
+        self.dones = z((), bool)
+        self.policy_h = z((hidden,), np.float32)  # hidden before the step
+        self.disc_h = z((disc_hidden,), np.float32)  # bonus model's, before
+        self.bootstrap = np.zeros(n_workers, np.float64)
+        self.states = []  # per-step state fingerprints
+        self.advantages = self.returns = None
+        self.consumed = False
 
     def flat_positives(self):
         """Aligned flat views used for bonus-model training batches."""
@@ -290,7 +271,7 @@ class Collector:
 
     def collect(self, n_steps) -> RolloutBuffer:
         policy, method = self.policy, self.method
-        buf = RolloutBuffer.empty(
+        buf = RolloutBuffer(
             n_steps, self.n_workers, self.cur_obs.shape[1:],
             policy.embed_dim, method.hidden_dim,
         )

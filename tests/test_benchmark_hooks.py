@@ -6,13 +6,15 @@ optimizers through their `state_arrays`. A refactor that renames one of
 them, or stops calling it through that name, breaks the benchmark.
 """
 import os
+import subprocess
 import sys
 
 import pytest
 
 from pinned_runs import tiny_config
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+sys.path.insert(0, PERFBENCH)
 
 from checks import array_mismatches, model_arrays  # noqa: E402
 from run import blas_context  # noqa: E402
@@ -77,3 +79,14 @@ def test_the_test_session_runs_blas_on_one_thread(monkeypatch):
     # the variable blanked, the count can only come from OpenBLAS itself.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
     assert blas_context()[1] == 1
+
+
+def test_perfbench_selftest_passes(tmp_path):
+    # every method through the traced measurement, one end-to-end run, and
+    # the failure counting of a corrupted row and a mismatched checkpoint;
+    # its scratch directory `.perfbench/` goes under the working directory
+    proc = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "selftest.py")],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.rstrip().endswith("selftest passed")

@@ -141,6 +141,43 @@ def test_tracker_matches_direct_metrics_across_chunks():
     assert (ep2, ll2) == (ep_b, ll_b)
 
 
+def test_tracker_matches_per_step_recount_over_workers():
+    # three 4-step rollouts of 3 workers: worker 0 ends every rollout on a
+    # done, so the next one starts its episode; worker 1 never does, so its
+    # episode runs on across the boundary
+    rng = np.random.default_rng(11)
+    steps, n_workers = 4, 3
+    rollouts = []
+    for _ in range(3):
+        states = [[bytes([rng.integers(6)]) for _ in range(n_workers)]
+                  for _ in range(steps)]
+        dones = rng.random((steps, n_workers)) < 0.3
+        dones[-1, 0], dones[-1, 1] = True, False
+        rollouts.append((states, dones))
+
+    tracker = ExplorationTracker(n_workers)
+    seen, life = [set() for _ in range(n_workers)], set()
+    start = [False] * n_workers
+    for states, dones in rollouts:
+        fresh_ep = fresh_life = 0
+        for t in range(steps):
+            for w in range(n_workers):
+                if start[w]:
+                    seen[w] = set()
+                sid = states[t][w]
+                fresh_ep += sid not in seen[w]
+                fresh_life += sid not in life
+                seen[w].add(sid)
+                life.add(sid)
+                start[w] = bool(dones[t, w])
+        # 4 steps: the tracker's per-worker fractions times 4 are exact
+        total = steps * n_workers
+        assert tracker.update(states, dones) == (fresh_ep / total,
+                                                 fresh_life / total)
+        assert tracker._fresh_start[:2] == [True, False]
+    assert tracker.lifetime == life
+
+
 def test_tracker_averages_over_workers():
     tracker = ExplorationTracker(2)
     states = [[b"a", b"x"], [b"a", b"y"]]
@@ -242,10 +279,16 @@ def test_load_config_rejects_bad_env_setting(pair):
 
 @pytest.mark.parametrize("pair,name", [
     ("ppo.lr=0", "lr"), ("ppo.lr=-1", "lr"), ("deir.lr=0", "method_lr"),
-    ("deir.lr=-3e-4", "method_lr"), ("deir.beta=-5", "beta")])
+    ("deir.lr=-3e-4", "method_lr"), ("deir.beta=-5", "beta"),
+    ("deir.model_minibatch=8193", "model_minibatch"),
+    ("ppo.channels=8,0,16", "channels"), ("ppo.channels=8,16,-1", "channels"),
+    ("run.seeds=", "seeds"), ("run.frames=8191", "frames")])
 def test_load_config_rejects_bad_tuning_value(pair, name):
     # a negative step size ascends the loss, a zero one freezes the model,
-    # and a negative beta rewards revisits
+    # and a negative beta rewards revisits; a bonus-model batch larger than
+    # the 8192-step default rollout is never drawn, a zero or negative
+    # width breaks model construction, and no seed or less than one
+    # rollout of frames trains nothing
     with pytest.raises(ConfigError, match=rf"^{name} must be"):
         load_config(overrides=parse_overrides([pair]))
 
@@ -660,8 +703,8 @@ def test_queue_without_noise_keeps_no_network_rows():
     for i in range(16):
         for a, b in zip(lean.method.queue[i], full.method.queue[i]):
             assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
-    assert "mx.queue_net" in full.method.extra_arrays("mx.")
-    assert "mx.queue_net" not in lean.method.extra_arrays("mx.")
+    assert "mx.queue_net" in full.method.state_arrays("mx.")
+    assert "mx.queue_net" not in lean.method.state_arrays("mx.")
 
 
 def test_neg_shortfall_counts_negatives_an_empty_queue_cannot_supply():
