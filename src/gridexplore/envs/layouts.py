@@ -91,10 +91,9 @@ def _multi_room(n_rooms, max_size, grid, rng, max_steps):
     rooms = _place_rooms(rng, grid, n_rooms, max_size)
     if rooms is None:
         return None
-    # carve interiors
+    # carve interiors (every cell is already grey)
     for (x0, y0, w, h) in rooms:
         world.obj[x0 + 1 : x0 + w - 1, y0 + 1 : y0 + h - 1] = Obj.EMPTY
-        world.color[x0 + 1 : x0 + w - 1, y0 + 1 : y0 + h - 1] = Color.GREY
     # doors on the shared wall between consecutive rooms
     prev_color = None
     for a, b in zip(rooms[:-1], rooms[1:]):

@@ -41,23 +41,12 @@ def solve(world: GridWorld):
         keys[(int(x), int(y))] = (i, int(world.color[x, y]))
 
     open_mask = sum(1 << i for i, _, is_open in doors.values() if is_open)
-    carried = -2  # -2 none, -1 non-key item, else key index
+    carried = None  # a carried key's colour, -1 another item, None nothing
     if world.carried is not None:
-        carried = -1
-        if world.carried[0] == Obj.KEY:
-            # match to a key color; carried keys are tracked by color only
-            carried = -1 - (world.carried[1] + 2)  # encode color as < -2
+        obj, color = world.carried
+        carried = color if obj == Obj.KEY else -1
     start = (world.agent_pos[0], world.agent_pos[1], int(world.agent_dir),
              carried, open_mask, 0)
-
-    def carried_color(c):
-        if c >= 0:
-            for (i, col) in keys.values():
-                if i == c:
-                    return col
-        if c < -2:
-            return -c - 3
-        return None
 
     parent = {start: None}
     frontier = deque([start])
@@ -88,13 +77,13 @@ def solve(world: GridWorld):
                         path.append(a)
                     return path[::-1]
                 succ.append((Action.FORWARD, (fx, fy, d, car, mask, taken)))
-            if front in keys and car == -2 and not taken >> keys[front][0] & 1:
-                i = keys[front][0]
-                succ.append((Action.PICKUP, (x, y, d, i, mask, taken | 1 << i)))
+            if front in keys and car is None and not taken >> keys[front][0] & 1:
+                i, color = keys[front]
+                succ.append((Action.PICKUP, (x, y, d, color, mask, taken | 1 << i)))
             if front in doors and not mask >> doors[front][0] & 1:
                 i, color, _ = doors[front]
                 locked = world.state[fx, fy] == DoorState.LOCKED
-                if not locked or carried_color(car) == color:
+                if not locked or car == color:
                     succ.append((Action.TOGGLE, (x, y, d, car, mask | 1 << i, taken)))
         for a, ns in succ:
             if ns not in parent:

@@ -84,12 +84,13 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         positive = ("rollout_steps", "workers", "minibatch", "model_epochs",
                     "model_minibatch", "bptt_len", "embed_dim", "hidden",
-                    "frames", "queue_size")
+                    "frames", "queue_size", "log_every")
         for name in positive + ("lr", "method_lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.beta < 0:
-            raise ConfigError("beta must be non-negative")
+        for name in ("beta", "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative")
         if not 0.0 <= self.queue_smoothing <= 1.0:
             raise ConfigError("queue_smoothing must be in [0, 1]")
         if self.rollout_steps % self.bptt_len:

@@ -87,13 +87,9 @@ class Trainer:
             mean_return=mean_return,
             episodic_eff=ep_eff,
             lifelong_eff=life_eff,
-            policy_loss=stats["policy_loss"],
-            value_loss=stats["value_loss"],
-            entropy=stats["entropy"],
-            clip_fraction=stats["clip_fraction"],
-            approx_kl=stats["approx_kl"],
             raw_ir_mean=float(raw.mean()),
             episodes=self.collector.total_episodes,
+            **stats,
             **mstats,
         )
         self.rows.append(row)

@@ -21,8 +21,7 @@ from .intrinsic import (
     update_queue,
 )
 from .nn import Adam, Tensor, no_grad
-
-_ONE_HOT = np.eye(N_ACTIONS, dtype=np.float32)
+from .ppo import ONE_HOT
 
 
 class NoIntrinsic:
@@ -266,7 +265,7 @@ class ForwardError(_RecurrentMethod):
 
     def _rewards(self, e_obs, actions, obs_next, clean_next, dones):
         with no_grad():
-            return forward_error(self.model, self.e_cur, _ONE_HOT[actions],
+            return forward_error(self.model, self.e_cur, ONE_HOT[actions],
                                  e_obs)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .serialize import restored
 from .tensor import GraphError, Tensor, conv2d, gru_cell, normalize
 
 EPS_NORM = 1e-8  # sigma floor shared by both normalization modes
@@ -33,34 +34,36 @@ class Module:
             self._modules[name] = value
         object.__setattr__(self, name, value)
 
-    def named_parameters(self, prefix=""):
-        for name, p in self._params.items():
-            yield prefix + name, p
+    def _tree(self, prefix=""):
+        """(prefix, module) of this module and of every submodule, parents
+        first and children in registration order."""
+        yield prefix, self
         for name, m in self._modules.items():
-            yield from m.named_parameters(prefix + name + ".")
+            yield from m._tree(prefix + name + ".")
+
+    def named_parameters(self, prefix=""):
+        for pre, m in self._tree(prefix):
+            for name, p in m._params.items():
+                yield pre + name, p
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def train(self):
-        object.__setattr__(self, "training", True)
-        for m in self._modules.values():
-            m.train()
+    def train(self, mode=True):
+        for _, m in self._tree():
+            object.__setattr__(m, "training", mode)
 
     def eval(self):
-        object.__setattr__(self, "training", False)
-        for m in self._modules.values():
-            m.eval()
+        self.train(False)
 
     def zero_grad(self):
         for p in self.parameters():
             p.grad = None
 
     def named_buffers(self, prefix=""):
-        for k, v in self._buffers().items():
-            yield prefix + k, v
-        for name, m in self._modules.items():
-            yield from m.named_buffers(prefix + name + ".")
+        for pre, m in self._tree(prefix):
+            for k, v in m._buffers().items():
+                yield pre + k, v
 
     def state_arrays(self, prefix=""):
         """Name -> array map of everything a checkpoint must capture, each
@@ -71,15 +74,10 @@ class Module:
 
     def load_state(self, arrays: dict, prefix=""):
         for name, p in self.named_parameters(prefix):
-            p.data = arrays[name].astype(p.data.dtype).reshape(p.data.shape)
-        self._load_buffers(arrays, prefix)
-
-    def _load_buffers(self, arrays, prefix):
-        for k, v in self._buffers().items():
-            loaded = arrays[prefix + k].astype(v.dtype).reshape(v.shape)
-            object.__setattr__(self, k, loaded)
-        for name, m in self._modules.items():
-            m._load_buffers(arrays, prefix + name + ".")
+            p.data = restored(arrays[name], p.data)
+        for pre, m in self._tree(prefix):
+            for k, v in m._buffers().items():
+                object.__setattr__(m, k, restored(arrays[pre + k], v))
 
     def _buffers(self):
         return {}
@@ -248,7 +246,6 @@ class CnnEncoder(Module):
                  channels=(32, 64, 64)):
         super().__init__()
         pad = 1 if view_size == 3 else 0
-        self.view_size = view_size
         self.in_norm = make_norm(norm, 3)
         c1, c2, c3 = channels
         self.conv0 = Conv2d(3, c1, 2, rng, pad=pad)

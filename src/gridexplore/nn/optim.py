@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from .serialize import restored
 from .tensor import Tensor
 
 
@@ -43,13 +44,9 @@ class Adam:
 
     def load_state(self, arrays, prefix=""):
         self.t = int(arrays[f"{prefix}t"][0])
-        for i in range(len(self.params)):
-            self.m[i] = arrays[f"{prefix}m{i}"].astype(self.m[i].dtype).reshape(
-                self.m[i].shape
-            )
-            self.v[i] = arrays[f"{prefix}v{i}"].astype(self.v[i].dtype).reshape(
-                self.v[i].shape
-            )
+        for i, (m, v) in enumerate(zip(self.m, self.v)):
+            self.m[i] = restored(arrays[f"{prefix}m{i}"], m)
+            self.v[i] = restored(arrays[f"{prefix}v{i}"], v)
 
 
 def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:

@@ -80,3 +80,9 @@ def unpack_arrays(blob: bytes) -> dict[str, np.ndarray]:
         return out
     except struct.error as exc:
         raise BlobError("truncated header") from exc
+
+
+def restored(saved: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """A loaded array cast and reshaped to the dtype and shape of the
+    array it replaces."""
+    return saved.astype(like.dtype).reshape(like.shape)

@@ -27,6 +27,9 @@ ENT_COEF = 1e-2
 VALUE_COEF = 0.5
 MAX_GRAD_NORM = 0.5
 
+# one float32 row per action: the action input of the bonus models
+ONE_HOT = np.eye(N_ACTIONS, dtype=np.float32)
+
 
 class BufferError(Exception):
     pass
@@ -74,12 +77,11 @@ class RolloutBuffer:
     def flat_positives(self):
         """Aligned flat views used for bonus-model training batches."""
         n = self.n_steps * self.n_workers
-        eye = np.eye(N_ACTIONS, dtype=np.float32)
         return {
             "obs_t": self.obs.reshape((n,) + self.obs.shape[2:]),
             "obs_next": self.obs_next.reshape((n,) + self.obs.shape[2:]),
             "clean_next": self.clean_next.reshape((n,) + self.clean_next.shape[2:]),
-            "action": eye[self.actions.reshape(n)],
+            "action": ONE_HOT[self.actions.reshape(n)],
             "h_prev": self.disc_h.reshape(n, self.disc_h.shape[2]),
         }
 

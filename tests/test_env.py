@@ -668,6 +668,36 @@ def test_solvability_smoke(task):
     _check_solvable(task, range(25))
 
 
+def _door_key_holding_key(seed):
+    """A DoorKey8 layout whose key is taken off the grid into the agent's
+    hands; fresh layouts carry nothing. Returns (world, key colour)."""
+    w = generate(EnvSpec("DoorKey8"), seed)
+    (kx,), (ky,) = (w.obj == Obj.KEY).nonzero()
+    color = int(w.color[kx, ky])
+    w.clear_cell(kx, ky)
+    w.carried = (int(Obj.KEY), color)
+    return w, color
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_solver_opens_the_door_with_a_carried_key(seed):
+    w, _ = _door_key_holding_key(seed)
+    path = solve(w)
+    assert path is not None
+    assert Action.PICKUP not in path and path.count(Action.TOGGLE) == 1
+    replay = w.copy()
+    replay.max_steps = 10**9
+    for a in path:
+        reward, done = step(replay, a)
+    assert done and reward > 0
+
+
+def test_solver_refuses_a_carried_key_of_the_wrong_color():
+    w, color = _door_key_holding_key(0)
+    w.carried = (int(Obj.KEY), (color + 1) % len(Color))
+    assert solve(w) is None
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("task", TASKS)
 def test_solvability_thousand_seeds(task):

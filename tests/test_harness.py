@@ -282,13 +282,17 @@ def test_load_config_rejects_bad_env_setting(pair):
     ("deir.lr=-3e-4", "method_lr"), ("deir.beta=-5", "beta"),
     ("deir.model_minibatch=8193", "model_minibatch"),
     ("ppo.channels=8,0,16", "channels"), ("ppo.channels=8,16,-1", "channels"),
-    ("run.seeds=", "seeds"), ("run.frames=8191", "frames")])
+    ("run.seeds=", "seeds"), ("run.frames=8191", "frames"),
+    ("run.log_every=0", "log_every"),
+    ("run.checkpoint_every=-1", "checkpoint_every")])
 def test_load_config_rejects_bad_tuning_value(pair, name):
     # a negative step size ascends the loss, a zero one freezes the model,
     # and a negative beta rewards revisits; a bonus-model batch larger than
     # the 8192-step default rollout is never drawn, a zero or negative
     # width breaks model construction, and no seed or less than one
-    # rollout of frames trains nothing
+    # rollout of frames trains nothing; a zero log interval divides by
+    # zero after the first rollout, and a negative checkpoint interval
+    # means nothing
     with pytest.raises(ConfigError, match=rf"^{name} must be"):
         load_config(overrides=parse_overrides([pair]))
 
