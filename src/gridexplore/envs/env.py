@@ -92,38 +92,31 @@ class Env:
 
     def dump_state(self):
         """(metas, arrays) that `load_state` restores the workers from: per
-        worker its world's scalars and RNG states, and its uint8 grid
-        planes under `env{w}.obj`, `env{w}.color`, `env{w}.state`."""
-        metas, arrays = [], {}
-        for i, w in enumerate(self.worlds):
-            metas.append({
-                "agent_pos": list(w.agent_pos),
-                "agent_dir": int(w.agent_dir),
-                "carried": list(w.carried) if w.carried else None,
-                "step_count": w.step_count,
-                "done": w.done,
-                "max_steps": w.max_steps,
-                "width": w.width,
-                "height": w.height,
-                "layout_rng": self._layout_rngs[i].bit_generator.state,
-                "noise_rng": self._noise_rngs[i].bit_generator.state,
-            })
-            for plane in self._PLANES:
-                arrays[f"env{i}.{plane}"] = getattr(w, plane)
-        return metas, arrays
+        worker its world's scalars and RNG states, and the (3, W, w, h)
+        grid planes of all workers under `env.planes`."""
+        metas = [{
+            "agent_pos": list(w.agent_pos),
+            "agent_dir": int(w.agent_dir),
+            "carried": list(w.carried) if w.carried else None,
+            "step_count": w.step_count,
+            "done": w.done,
+            "layout_rng": layout_rng.bit_generator.state,
+            "noise_rng": noise_rng.bit_generator.state,
+        } for w, layout_rng, noise_rng in zip(
+            self.worlds, self._layout_rngs, self._noise_rngs)]
+        return metas, {"env.planes": self.planes}
 
     def load_state(self, metas, arrays):
-        for i, (w, meta) in enumerate(zip(self.worlds, metas)):
-            if w is None or (w.width, w.height) != (meta["width"],
-                                                    meta["height"]):
-                raise core.EnvError("environment shape mismatch")
-            for plane in self._PLANES:
-                getattr(w, plane)[:] = arrays[f"env{i}.{plane}"]
+        planes = arrays["env.planes"]
+        if self.planes is None or planes.shape != self.planes.shape:
+            raise core.EnvError("environment shape mismatch")
+        self.planes[:] = planes  # the worlds' grids are views into it
+        for w, meta, layout_rng, noise_rng in zip(
+                self.worlds, metas, self._layout_rngs, self._noise_rngs):
             w.agent_pos = tuple(meta["agent_pos"])
             w.agent_dir = core.Dir(meta["agent_dir"])
             w.carried = tuple(meta["carried"]) if meta["carried"] else None
             w.step_count = meta["step_count"]
             w.done = meta["done"]
-            w.max_steps = meta["max_steps"]
-            self._layout_rngs[i].bit_generator.state = meta["layout_rng"]
-            self._noise_rngs[i].bit_generator.state = meta["noise_rng"]
+            layout_rng.bit_generator.state = meta["layout_rng"]
+            noise_rng.bit_generator.state = meta["noise_rng"]

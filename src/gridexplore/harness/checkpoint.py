@@ -14,9 +14,10 @@ import tempfile
 from ..nn import BlobError, pack_arrays, unpack_arrays
 
 MAGIC = b"GXCK"
-VERSION = 5  # 2: uint8 grid planes and queue rows; 3: fused GRU weights;
+VERSION = 6  # 2: uint8 grid planes and queue rows; 3: fused GRU weights;
              # 4: meta config lines without the fixed PPO recipe;
-             # 5: no queue network rows without noise
+             # 5: no queue network rows without noise; 6: one env plane
+             # array, no episode lengths
 
 
 class CheckpointError(Exception):

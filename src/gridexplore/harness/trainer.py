@@ -80,8 +80,8 @@ class Trainer:
 
         self.frames += cfg.rollout_steps * cfg.workers
         self.iteration += 1
-        window = list(self.collector.finished_episodes)
-        mean_return = (sum(r for r, _ in window) / len(window)) if window else 0.0
+        window = self.collector.finished_episodes
+        mean_return = sum(window) / len(window) if window else 0.0
         row = MetricRow(
             frames=self.frames,
             mean_return=mean_return,
@@ -137,7 +137,6 @@ class Trainer:
             "iteration": self.iteration,
             "total_episodes": c.total_episodes,
             "episode_returns": c.episode_returns.tolist(),
-            "episode_lengths": c.episode_lengths.tolist(),
             "finished_episodes": list(c.finished_episodes),
             "lifetime_states": sorted(s.hex() for s in self.tracker.lifetime),
             "episode_states": [
@@ -199,9 +198,8 @@ class Trainer:
         c.cur_obs = arrays["collector.cur_obs"].astype(np.float32)
         c.policy_hidden = arrays["collector.policy_hidden"].astype(np.float32)
         c.episode_returns = np.array(meta["episode_returns"], np.float64)
-        c.episode_lengths = np.array(meta["episode_lengths"], np.int64)
         c.finished_episodes.clear()
-        c.finished_episodes.extend(tuple(e) for e in meta["finished_episodes"])
+        c.finished_episodes.extend(meta["finished_episodes"])
         c.total_episodes = meta["total_episodes"]
         self.tracker.lifetime = {
             bytes.fromhex(s) for s in meta["lifetime_states"]

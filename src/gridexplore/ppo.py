@@ -267,8 +267,7 @@ class Collector:
         self.method.start(self.cur_obs)
         # episode bookkeeping for metrics
         self.episode_returns = np.zeros(self.n_workers)
-        self.episode_lengths = np.zeros(self.n_workers, dtype=np.int64)
-        self.finished_episodes = deque(maxlen=100)  # (return, length)
+        self.finished_episodes = deque(maxlen=100)  # last 100 returns
         self.total_episodes = 0
 
     def collect(self, n_steps) -> RolloutBuffer:
@@ -307,7 +306,6 @@ class Collector:
                 self.cur_obs = buf.obs_next[t].copy()
                 self.policy_hidden = h_next.data.astype(np.float32)
                 self.episode_returns += res.reward
-                self.episode_lengths += 1
                 done = np.flatnonzero(res.done)
                 if done.size:
                     self._end_episodes(done)
@@ -319,12 +317,9 @@ class Collector:
 
     def _end_episodes(self, done):
         """Book the finished episodes of workers `done` and reset them."""
-        self.finished_episodes.extend(zip(
-            self.episode_returns[done].tolist(),
-            self.episode_lengths[done].tolist()))
+        self.finished_episodes.extend(self.episode_returns[done].tolist())
         self.total_episodes += len(done)
         self.episode_returns[done] = 0.0
-        self.episode_lengths[done] = 0
         fresh = self.env.reset(done)
         self.cur_obs[done] = fresh.net_obs
         self.policy_hidden[done] = 0.0

@@ -441,24 +441,25 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(back["stats"], arrays["stats"])
 
 
-@pytest.mark.parametrize("old", [2, 3, 4])
+@pytest.mark.parametrize("old", [2, 3, 4, 5])
 def test_checkpoint_refuses_old_version_naming_both_versions(tmp_path, old):
     # version 2 stored the GRU as nine gate arrays, version 3 fused them;
     # version 4 dropped the fixed PPO recipe from the meta's config lines;
-    # version 5 keeps no queue network rows without noise
+    # version 5 keeps no queue network rows without noise; version 6
+    # saves the env's grid planes as one array and no episode lengths
     path = str(tmp_path / "old.ckpt")
     save_checkpoint(path, {"frames": 512}, {"w": np.zeros(2, np.float32)})
     with open(path, "rb") as fh:
         data = fh.read()
     (length,) = struct.unpack("<Q", data[4:12])
     meta = json.loads(data[12 : 12 + length])
-    assert meta["version"] == 5
+    assert meta["version"] == 6
     payload = json.dumps(dict(meta, version=old)).encode()
     with open(path, "wb") as fh:
         fh.write(data[:4] + struct.pack("<Q", len(payload)) + payload
                  + data[12 + length :])
     with pytest.raises(CheckpointError,
-                       match=rf"version {old}\b.*version 5\b"):
+                       match=rf"version {old}\b.*version 6\b"):
         load_checkpoint(path)
 
 
@@ -571,24 +572,24 @@ def test_training_digest_is_pinned(case):
 
 # sha256 of the checkpoint each case's tiny run writes (pinned_runs.py)
 _CHECKPOINT_DIGESTS = {
-    "DEIR": "adcc42f163df4ed6aed219f2ed4e8cd4161df2796fe03df95baafa48dcab52af",
+    "DEIR": "e121b6433e39b87b304e7f9567d5fa68d8aca40e88057607fae87ef52f4fd79d",
     "PlainNovelty":
-        "89b514fdad143f70bbaa3618e5b10decdc0b07eed85e6b596a43655876018593",
+        "df8605e84c62ab896e57ae2f6fb40504b32cbf2f4cedacb18f5124446d26e7a7",
     "ForwardError":
-        "5a27737015041fc6271809bc99d6caf734d0745df7ec8c704cf5d0138bb7c94b",
+        "3a19561e8980fa7591888aed7d8aa3e3914dde760cd0e06a448cbbb6e4290ea5",
     "InverseDriven":
-        "d3a0d774426610d25d2f0c9b0024cc799def90f5a3aba997e0dd38a39215c618",
-    "RND": "10680eb752950b48ef4f362476015294b5d1dea314f844e46f22e073dc356e3b",
+        "48f76714fe7224e36dbbc939b2548b3e4b045e5145f364bb4dd20276529dd90b",
+    "RND": "036682a0bf5775ca510881abe4eb450084e5c4db0708065609a80a8124de41fb",
     "NoIntrinsic":
-        "810ef314a6fc44da0d7b29daaf43e20fde02d5e23a6bd12837ceda0edd736973",
+        "fe2a035379c76a537658507e5cf313b557336d32e5550f53dac54684a332d99e",
     "DEIR-harsh":
-        "b0ab8d55392b2bfc862d081bae67b2d24d1e6fb4295736442d40c0f928bc1bac",
+        "0dc8c044cc77aa2ccc267ce3f21691cc0b6fb77720d7947ef0029d16e12cae12",
     "DEIR-DoorKey8":
-        "f9c3f0fb327cb86449b401221cad0343f6877a6b6b6771602286d6f9633fadf0",
+        "584dbe85a26f03e0d3958d784492583a40b58d4a5f60b8314ed20a19e9872077",
     "DEIR-layer":
-        "9dd8535745d2691ebd1a3dd21c9ef8e293709633e968ff4ea82b48d15859dee5",
+        "75ba03320fb4bf7a9da669bf1d04ba201baa6c70c0c827b1f90901102e36055e",
     "NoIntrinsic-minibatch16":
-        "881558089f81fa327a0f01b072eb4454166c4c8a5c795da91694f82d3aa9bc02",
+        "b4e970e79c97dacf5d40fe5b610aaaedb6b68555392758f2283ca7d9df1d5a89",
 }
 
 
@@ -616,7 +617,7 @@ def test_trainer_load_rejects_environment_shape_mismatch(tmp_path):
     path = str(tmp_path / "run.ckpt")
     t.save(path)
     meta, arrays = load_checkpoint(path)
-    meta["envs"][0]["width"] += 1
+    arrays["env.planes"] = arrays["env.planes"][:, :, 1:]  # one column less
     save_checkpoint(path, meta, arrays)
     with pytest.raises(CheckpointError, match="shape mismatch"):
         Trainer(_tiny_config(), 1).load(path)
