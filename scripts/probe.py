@@ -7,6 +7,8 @@ InverseDriven), or uses a frozen random DEIR discriminator of the
 default config with --random; embeds scripted episodes of --task in the
 environment the model was trained in (view, noise, hidden obstacles),
 trains one small head per probe task, and prints validation losses.
+ForwardError trains only its encoder and head, so its trajectory
+embeddings pass through the GRU weights it was initialized with.
 
 Usage:
     python3 scripts/probe.py --checkpoint runs/seed0.ckpt [--seed N]

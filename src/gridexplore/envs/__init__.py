@@ -1,13 +1,11 @@
 from .core import (
     FLOOR_COLOR,
     N_ACTIONS,
-    TASKS,
     Action,
     Color,
     Dir,
     DoorState,
     EnvError,
-    EnvSpec,
     EpisodeOver,
     GenerationError,
     GridWorld,
@@ -17,7 +15,7 @@ from .core import (
     step,
 )
 from .env import Env, StepResult
-from .layouts import episode_steps, generate
+from .layouts import TASKS, EnvSpec, episode_steps, generate
 from .modifiers import apply_noise, hide_obstacles, normalize_obs
 from .solver import solve
 

@@ -2,7 +2,7 @@
 # egocentric partial observations.
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -66,16 +66,6 @@ DIR_VEC = {
     Dir.NORTH: (0, -1),
 }
 
-TASKS = (
-    "FourRooms",
-    "MultiRoomN2S4",
-    "MultiRoomN4S5",
-    "MultiRoomN6",
-    "MultiRoomN30",
-    "DoorKey8",
-    "DoorKey16",
-)
-
 
 class EnvError(Exception):
     pass
@@ -87,25 +77,6 @@ class GenerationError(EnvError):
 
 class EpisodeOver(EnvError):
     """step() called on a terminal world."""
-
-
-@dataclass
-class EnvSpec:
-    task: str
-    view_size: int = 7
-    noise_sigma: float = 0.0
-    invisible_obstacles: bool = False
-    max_steps: int | None = None  # None -> task default
-
-    def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.view_size not in (3, 7):
-            raise ValueError("view_size must be 3 or 7")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
 
 
 @dataclass
@@ -318,8 +289,9 @@ def observe_batch(planes, worlds, view_size):
     return out
 
 
-def observe(world: GridWorld, spec: EnvSpec) -> np.ndarray:
-    """Egocentric (view, view, 3) uint8 observation of one world."""
+def observe(world: GridWorld, spec) -> np.ndarray:
+    """Egocentric (view, view, 3) uint8 observation of one world at
+    `spec.view_size`."""
     return observe_batch(_planes(world), [world], spec.view_size)[0]
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, layouts, modifiers
-from .core import Action, EnvSpec, GridWorld
+from .core import Action, GridWorld
 
 
 @dataclass
@@ -35,7 +35,7 @@ class Env:
 
     _PLANES = ("obj", "color", "state")  # the worlds' uint8 grids
 
-    def __init__(self, spec: EnvSpec, seeds):
+    def __init__(self, spec: layouts.EnvSpec, seeds):
         self.spec = spec
         self.n_workers = len(seeds)
         self._layout_rngs = [
@@ -90,33 +90,29 @@ class Env:
             reward[i], done[i] = core.step(world, Action(int(a)))
         return self._results(range(self.n_workers), reward, done)
 
-    def dump_state(self):
-        """(metas, arrays) that `load_state` restores the workers from: per
-        worker its world's scalars and RNG states, and the (3, W, w, h)
-        grid planes of all workers under `env.planes`."""
-        metas = [{
-            "agent_pos": list(w.agent_pos),
-            "agent_dir": int(w.agent_dir),
-            "carried": list(w.carried) if w.carried else None,
-            "step_count": w.step_count,
-            "done": w.done,
-            "layout_rng": layout_rng.bit_generator.state,
-            "noise_rng": noise_rng.bit_generator.state,
-        } for w, layout_rng, noise_rng in zip(
-            self.worlds, self._layout_rngs, self._noise_rngs)]
-        return metas, {"env.planes": self.planes}
+    def state_arrays(self, prefix=""):
+        """The (3, W, w, h) grid planes as an array; as JSON values, one
+        [x, y, dir, carried_obj, carried_color, step_count, done] row per
+        worker (carried_obj 0 for empty hands), then the layout and the
+        noise RNG states of every worker."""
+        return {
+            f"{prefix}planes": self.planes,
+            f"{prefix}agents": [
+                [*w.agent_pos, int(w.agent_dir), *(w.carried or (0, 0)),
+                 w.step_count, int(w.done)] for w in self.worlds],
+            f"{prefix}rngs": [r.bit_generator.state
+                              for r in self._layout_rngs + self._noise_rngs],
+        }
 
-    def load_state(self, metas, arrays):
-        planes = arrays["env.planes"]
+    def load_state(self, state, prefix=""):
+        planes = state[f"{prefix}planes"]
         if self.planes is None or planes.shape != self.planes.shape:
             raise core.EnvError("environment shape mismatch")
         self.planes[:] = planes  # the worlds' grids are views into it
-        for w, meta, layout_rng, noise_rng in zip(
-                self.worlds, metas, self._layout_rngs, self._noise_rngs):
-            w.agent_pos = tuple(meta["agent_pos"])
-            w.agent_dir = core.Dir(meta["agent_dir"])
-            w.carried = tuple(meta["carried"]) if meta["carried"] else None
-            w.step_count = meta["step_count"]
-            w.done = meta["done"]
-            layout_rng.bit_generator.state = meta["layout_rng"]
-            noise_rng.bit_generator.state = meta["noise_rng"]
+        for w, row in zip(self.worlds, state[f"{prefix}agents"]):
+            x, y, d, obj, color, w.step_count, done = row
+            w.agent_pos, w.agent_dir, w.done = (x, y), core.Dir(d), bool(done)
+            w.carried = (obj, color) if obj else None
+        for r, saved in zip(self._layout_rngs + self._noise_rngs,
+                            state[f"{prefix}rngs"]):
+            r.bit_generator.state = saved

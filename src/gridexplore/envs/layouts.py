@@ -1,20 +1,12 @@
 # Seed-driven layout generation for each task.
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .core import (
-    TASKS,
-    Color,
-    Dir,
-    DoorState,
-    EnvSpec,
-    GenerationError,
-    GridWorld,
-    Obj,
-)
+from .core import Color, Dir, DoorState, GenerationError, GridWorld, Obj
 
 RETRY_BUDGET = 100
 
@@ -129,6 +121,27 @@ LAYOUTS = {
     "DoorKey8": (partial(_door_key, 8), 640),
     "DoorKey16": (partial(_door_key, 16), 2560),
 }
+# the table's order seeds every layout (`generate`)
+TASKS = tuple(LAYOUTS)
+
+
+@dataclass
+class EnvSpec:
+    task: str
+    view_size: int = 7
+    noise_sigma: float = 0.0
+    invisible_obstacles: bool = False
+    max_steps: int | None = None  # None -> task default
+
+    def __post_init__(self):
+        if self.task not in LAYOUTS:
+            raise ValueError(f"unknown task {self.task!r}")
+        if self.view_size not in (3, 7):
+            raise ValueError("view_size must be 3 or 7")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
 
 
 def _place_rooms(rng, grid, n_rooms, max_size):

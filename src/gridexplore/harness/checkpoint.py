@@ -14,10 +14,10 @@ import tempfile
 from ..nn import BlobError, pack_arrays, unpack_arrays
 
 MAGIC = b"GXCK"
-VERSION = 6  # 2: uint8 grid planes and queue rows; 3: fused GRU weights;
+VERSION = 7  # 2: uint8 grid planes and queue rows; 3: fused GRU weights;
              # 4: meta config lines without the fixed PPO recipe;
              # 5: no queue network rows without noise; 6: one env plane
-             # array, no episode lengths
+             # array, no episode lengths; 7: header values keyed by part
 
 
 class CheckpointError(Exception):
@@ -59,6 +59,8 @@ def load_checkpoint(path):
         meta = json.loads(data[12 : 12 + length].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt metadata: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError("corrupt metadata: not a JSON object")
     if meta.get("version") != VERSION:
         raise CheckpointError(f"unsupported checkpoint version "
                               f"{meta.get('version')!r}; this code reads "

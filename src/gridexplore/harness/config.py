@@ -8,6 +8,7 @@ keys are rejected.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from ..envs import EnvSpec
@@ -85,12 +86,14 @@ class ExperimentConfig:
         positive = ("rollout_steps", "workers", "minibatch", "model_epochs",
                     "model_minibatch", "bptt_len", "embed_dim", "hidden",
                     "frames", "queue_size", "log_every")
+        # a NaN fails every comparison, so each check asks for the range
+        # a value must lie in
         for name in positive + ("lr", "method_lr"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         for name in ("beta", "checkpoint_every"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be non-negative and finite")
         if not 0.0 <= self.queue_smoothing <= 1.0:
             raise ConfigError("queue_smoothing must be in [0, 1]")
         if self.rollout_steps % self.bptt_len:

@@ -89,3 +89,17 @@ class ExplorationTracker:
             life_total += life * steps
         total = steps * len(self._fresh_start)
         return ep_total / total, life_total / total
+
+    def state_arrays(self, prefix=""):
+        """JSON values only: the fingerprint sets as sorted hex, and which
+        workers start an episode at their next step."""
+        return {f"{prefix}lifetime": sorted(s.hex() for s in self.lifetime),
+                f"{prefix}episode_seen": [sorted(s.hex() for s in seen)
+                                          for seen in self._episode_seen],
+                f"{prefix}fresh_start": list(self._fresh_start)}
+
+    def load_state(self, state, prefix=""):
+        self.lifetime = {bytes.fromhex(s) for s in state[f"{prefix}lifetime"]}
+        self._episode_seen = [{bytes.fromhex(s) for s in seen}
+                              for seen in state[f"{prefix}episode_seen"]]
+        self._fresh_start = list(state[f"{prefix}fresh_start"])

@@ -120,43 +120,31 @@ class Trainer:
     # -- exact-resume checkpointing ---------------------------------------
 
     def _parts(self):
-        """(checkpoint prefix, part) of every network and optimizer, then
-        the bonus method's own state."""
-        m = self.method
+        """(checkpoint prefix, part) of every stateful part of a run: the
+        networks and optimizers, the bonus method's own state, then the
+        collector, the environment, the exploration tracker and the two
+        standardizers. A part's `state_arrays(prefix)` values are numpy
+        arrays, saved in the checkpoint's array blob, or JSON values (RNG
+        states, fingerprint sets as sorted hex, episode returns and
+        counts), saved in its header; `load_state(state, prefix)` reads
+        both from one merged dict."""
+        m, c = self.method, self.collector
         return [("policy.", self.policy), ("popt.", self.opt),
                 *((f"m.{k}.", v) for k, v in m.modules().items()),
                 *((f"mo.{k}.", v) for k, v in m.optimizers().items()),
-                ("mx.", m)]
+                ("mx.", m), ("collector.", c), ("env.", c.env),
+                ("tracker.", self.tracker), ("ir_norm.", self.ir_norm),
+                ("adv_norm.", self.adv_norm)]
 
     def save(self, path):
-        c = self.collector
-        meta = {
-            "config": config_lines(self.config),
-            "seed": self.seed,
-            "frames": self.frames,
-            "iteration": self.iteration,
-            "total_episodes": c.total_episodes,
-            "episode_returns": c.episode_returns.tolist(),
-            "finished_episodes": list(c.finished_episodes),
-            "lifetime_states": sorted(s.hex() for s in self.tracker.lifetime),
-            "episode_states": [
-                sorted(s.hex() for s in seen)
-                for seen in self.tracker._episode_seen
-            ],
-            "fresh_starts": list(self.tracker._fresh_start),
-            "collector_rng": c.rng.bit_generator.state,
-            "update_rng": self.update_rng.bit_generator.state,
-            "method_rng": self.method_rng.bit_generator.state,
-            "ir_state": [self.ir_norm.mean, self.ir_norm.std],
-            "adv_state": [self.adv_norm.mean, self.adv_norm.std],
-        }
+        meta = {"config": config_lines(self.config), "seed": self.seed,
+                "frames": self.frames, "iteration": self.iteration,
+                "update_rng": self.update_rng.bit_generator.state,
+                "method_rng": self.method_rng.bit_generator.state}
         arrays = {}
         for prefix, part in self._parts():
-            arrays.update(part.state_arrays(prefix))
-        arrays["collector.cur_obs"] = c.cur_obs
-        arrays["collector.policy_hidden"] = c.policy_hidden
-        meta["envs"], planes = c.env.dump_state()
-        arrays.update(planes)
+            for k, v in part.state_arrays(prefix).items():
+                (arrays if isinstance(v, np.ndarray) else meta)[k] = v
         save_checkpoint(path, meta, arrays)
 
     # run-control keys may legitimately change on resume (extending the
@@ -185,36 +173,18 @@ class Trainer:
             raise CheckpointError("checkpoint config differs from current")
         if meta["seed"] != self.seed:
             raise CheckpointError("checkpoint seed differs from current")
+        state = {**meta, **arrays}
         try:
             for prefix, part in self._parts():
-                part.load_state(arrays, prefix)
-            self.collector.env.load_state(meta["envs"], arrays)
+                part.load_state(state, prefix)
+            self.update_rng.bit_generator.state = meta["update_rng"]
+            self.method_rng.bit_generator.state = meta["method_rng"]
+            self.frames = meta["frames"]
+            self.iteration = meta["iteration"]
         except KeyError as exc:
-            raise CheckpointError(f"missing checkpoint array {exc}") from exc
+            raise CheckpointError(f"missing checkpoint entry {exc}") from exc
         except EnvError as exc:
             raise CheckpointError(str(exc)) from exc
-
-        c = self.collector
-        c.cur_obs = arrays["collector.cur_obs"].astype(np.float32)
-        c.policy_hidden = arrays["collector.policy_hidden"].astype(np.float32)
-        c.episode_returns = np.array(meta["episode_returns"], np.float64)
-        c.finished_episodes.clear()
-        c.finished_episodes.extend(meta["finished_episodes"])
-        c.total_episodes = meta["total_episodes"]
-        self.tracker.lifetime = {
-            bytes.fromhex(s) for s in meta["lifetime_states"]
-        }
-        self.tracker._episode_seen = [
-            {bytes.fromhex(s) for s in seen} for seen in meta["episode_states"]
-        ]
-        self.tracker._fresh_start = list(meta["fresh_starts"])
-        c.rng.bit_generator.state = meta["collector_rng"]
-        self.update_rng.bit_generator.state = meta["update_rng"]
-        self.method_rng.bit_generator.state = meta["method_rng"]
-        self.ir_norm.mean, self.ir_norm.std = meta["ir_state"]
-        self.adv_norm.mean, self.adv_norm.std = meta["adv_state"]
-        self.frames = meta["frames"]
-        self.iteration = meta["iteration"]
         # metric rows before the checkpoint are not replayed; resumed rows
         # continue from the checkpointed frame count
         self.rows = []

@@ -216,12 +216,6 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def log(self):
-        def backward(out):
-            self._accum(out.grad / self.data)
-
-        return self._make(np.log(self.data), (self,), backward)
-
     def sqrt(self):
         out_data = np.sqrt(self.data)
 

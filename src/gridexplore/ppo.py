@@ -125,6 +125,12 @@ class EmaStandardizer:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / max(self.std, 1e-8)
 
+    def state_arrays(self, prefix=""):
+        return {f"{prefix}mean": self.mean, f"{prefix}std": self.std}
+
+    def load_state(self, state, prefix=""):
+        self.mean, self.std = state[f"{prefix}mean"], state[f"{prefix}std"]
+
 
 # ---------------------------------------------------------------------------
 # Update
@@ -314,6 +320,25 @@ class Collector:
             )
             buf.bootstrap[:] = value.data.reshape(-1)
         return buf
+
+    def state_arrays(self, prefix=""):
+        """The current observations and hidden states as arrays; as JSON
+        values, the action RNG state and the episode returns and counts."""
+        return {f"{prefix}cur_obs": self.cur_obs,
+                f"{prefix}policy_hidden": self.policy_hidden,
+                f"{prefix}rng": self.rng.bit_generator.state,
+                f"{prefix}episode_returns": self.episode_returns.tolist(),
+                f"{prefix}finished_episodes": list(self.finished_episodes),
+                f"{prefix}total_episodes": self.total_episodes}
+
+    def load_state(self, state, prefix=""):
+        self.cur_obs = state[f"{prefix}cur_obs"].astype(np.float32)
+        self.policy_hidden = state[f"{prefix}policy_hidden"].astype(np.float32)
+        self.rng.bit_generator.state = state[f"{prefix}rng"]
+        self.episode_returns[:] = state[f"{prefix}episode_returns"]
+        self.finished_episodes.clear()
+        self.finished_episodes.extend(state[f"{prefix}finished_episodes"])
+        self.total_episodes = state[f"{prefix}total_episodes"]
 
     def _end_episodes(self, done):
         """Book the finished episodes of workers `done` and reset them."""

@@ -270,6 +270,7 @@ def test_validate_rejects_unknown_task_and_method():
 
 
 @pytest.mark.parametrize("pair", ["env.view_size=5", "env.noise_sigma=-1",
+                                  "env.noise_sigma=nan", "env.noise_sigma=inf",
                                   "env.max_steps=-1"])
 def test_load_config_rejects_bad_env_setting(pair):
     # the env's own ValueError must surface as a usage error
@@ -280,6 +281,8 @@ def test_load_config_rejects_bad_env_setting(pair):
 @pytest.mark.parametrize("pair,name", [
     ("ppo.lr=0", "lr"), ("ppo.lr=-1", "lr"), ("deir.lr=0", "method_lr"),
     ("deir.lr=-3e-4", "method_lr"), ("deir.beta=-5", "beta"),
+    ("ppo.lr=nan", "lr"), ("deir.lr=inf", "method_lr"),
+    ("deir.beta=nan", "beta"),
     ("deir.model_minibatch=8193", "model_minibatch"),
     ("ppo.channels=8,0,16", "channels"), ("ppo.channels=8,16,-1", "channels"),
     ("run.seeds=", "seeds"), ("run.frames=8191", "frames"),
@@ -287,11 +290,12 @@ def test_load_config_rejects_bad_env_setting(pair):
     ("run.checkpoint_every=-1", "checkpoint_every")])
 def test_load_config_rejects_bad_tuning_value(pair, name):
     # a negative step size ascends the loss, a zero one freezes the model,
-    # and a negative beta rewards revisits; a bonus-model batch larger than
-    # the 8192-step default rollout is never drawn, a zero or negative
-    # width breaks model construction, and no seed or less than one
-    # rollout of frames trains nothing; a zero log interval divides by
-    # zero after the first rollout, and a negative checkpoint interval
+    # and a negative beta rewards revisits; a NaN or infinite step size or
+    # beta turns the weights or the rewards into NaN; a bonus-model batch
+    # larger than the 8192-step default rollout is never drawn, a zero or
+    # negative width breaks model construction, and no seed or less than
+    # one rollout of frames trains nothing; a zero log interval divides
+    # by zero after the first rollout, and a negative checkpoint interval
     # means nothing
     with pytest.raises(ConfigError, match=rf"^{name} must be"):
         load_config(overrides=parse_overrides([pair]))
@@ -441,25 +445,26 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(back["stats"], arrays["stats"])
 
 
-@pytest.mark.parametrize("old", [2, 3, 4, 5])
+@pytest.mark.parametrize("old", [2, 3, 4, 5, 6])
 def test_checkpoint_refuses_old_version_naming_both_versions(tmp_path, old):
     # version 2 stored the GRU as nine gate arrays, version 3 fused them;
     # version 4 dropped the fixed PPO recipe from the meta's config lines;
     # version 5 keeps no queue network rows without noise; version 6
-    # saves the env's grid planes as one array and no episode lengths
+    # saves the env's grid planes as one array and no episode lengths;
+    # version 7 keys every header value by the part that saves it
     path = str(tmp_path / "old.ckpt")
     save_checkpoint(path, {"frames": 512}, {"w": np.zeros(2, np.float32)})
     with open(path, "rb") as fh:
         data = fh.read()
     (length,) = struct.unpack("<Q", data[4:12])
     meta = json.loads(data[12 : 12 + length])
-    assert meta["version"] == 6
+    assert meta["version"] == 7
     payload = json.dumps(dict(meta, version=old)).encode()
     with open(path, "wb") as fh:
         fh.write(data[:4] + struct.pack("<Q", len(payload)) + payload
                  + data[12 + length :])
     with pytest.raises(CheckpointError,
-                       match=rf"version {old}\b.*version 6\b"):
+                       match=rf"version {old}\b.*version 7\b"):
         load_checkpoint(path)
 
 
@@ -486,6 +491,19 @@ def test_checkpoint_corrupt_metadata(tmp_path):
     data[14] ^= 0xFF  # flip a byte inside the JSON payload
     open(path, "wb").write(bytes(data))
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_metadata_that_is_not_an_object(tmp_path):
+    # valid JSON of another type is corrupt metadata too
+    path = str(tmp_path / "list.ckpt")
+    save_checkpoint(path, {"a": 1}, {"w": np.ones(4, np.float32)})
+    data = open(path, "rb").read()
+    (length,) = struct.unpack("<Q", data[4:12])
+    payload = b"[1, 2]"
+    open(path, "wb").write(data[:4] + struct.pack("<Q", len(payload))
+                           + payload + data[12 + length :])
+    with pytest.raises(CheckpointError, match="not a JSON object"):
         load_checkpoint(path)
 
 
@@ -572,24 +590,24 @@ def test_training_digest_is_pinned(case):
 
 # sha256 of the checkpoint each case's tiny run writes (pinned_runs.py)
 _CHECKPOINT_DIGESTS = {
-    "DEIR": "e121b6433e39b87b304e7f9567d5fa68d8aca40e88057607fae87ef52f4fd79d",
+    "DEIR": "b4f42c1175bc647247cc3dd4e4b2af11352d72c92312761643a61512ddf77f06",
     "PlainNovelty":
-        "df8605e84c62ab896e57ae2f6fb40504b32cbf2f4cedacb18f5124446d26e7a7",
+        "7938a71d19cfb428137835b66d2fe59c875325adf2c476a1329172ce05a429fa",
     "ForwardError":
-        "3a19561e8980fa7591888aed7d8aa3e3914dde760cd0e06a448cbbb6e4290ea5",
+        "2939227a7a5f42bf24b40803140ba2b5e3258d6e77f943df83e757113c47534d",
     "InverseDriven":
-        "48f76714fe7224e36dbbc939b2548b3e4b045e5145f364bb4dd20276529dd90b",
-    "RND": "036682a0bf5775ca510881abe4eb450084e5c4db0708065609a80a8124de41fb",
+        "fa9c55ff61b2f7e303e7e5336b31866e86786b2bb8b3ab42c3d9ba9cb58a087e",
+    "RND": "39b2d31d31f945e5d9f7671fc2363e6f4e6a2de1f074041dd6ca5ca5e28cd73c",
     "NoIntrinsic":
-        "fe2a035379c76a537658507e5cf313b557336d32e5550f53dac54684a332d99e",
+        "d9dca291b90476c08f21ae2ae0f678fc5ac64cffabc5ff7e3155e979e8f4149b",
     "DEIR-harsh":
-        "0dc8c044cc77aa2ccc267ce3f21691cc0b6fb77720d7947ef0029d16e12cae12",
+        "249fc2e4989b4ef9b85e810a6810fd42f599e8f77e04c2c512afd4c1788d5864",
     "DEIR-DoorKey8":
-        "584dbe85a26f03e0d3958d784492583a40b58d4a5f60b8314ed20a19e9872077",
+        "528a781544072a542b13585ba74dd8832a0096af1adf23f4fe91e5959bc1e327",
     "DEIR-layer":
-        "75ba03320fb4bf7a9da669bf1d04ba201baa6c70c0c827b1f90901102e36055e",
+        "14b063aa8a44532a2d52ccd0e1628c1524ed4e3508769da7f95b22cea1ff4bee",
     "NoIntrinsic-minibatch16":
-        "b4e970e79c97dacf5d40fe5b610aaaedb6b68555392758f2283ca7d9df1d5a89",
+        "aff7d424e0586766eb02341a21cb3581c030b27efc43ce262e2199cff1ed920e",
 }
 
 
@@ -644,6 +662,44 @@ def test_forward_error_checkpoint_keeps_no_episodic_memory(tmp_path):
     resumed = Trainer(cfg, 1).load(path)
     rows = [resumed.train_iteration() for _ in range(2)]
     assert _tuples(rows) == _tuples(ref_rows[1:])
+
+
+_TRAINER_KEYS = {"config", "seed", "frames", "iteration", "update_rng",
+                 "method_rng", "version"}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_checkpoint_entries_belong_to_the_trainer_or_a_part(tmp_path,
+                                                            method):
+    # the Trainer saves only its own facts; every other header value and
+    # every array is saved by a part, under that part's prefix
+    t = Trainer(_tiny_config(method=method, noise_sigma=0.1), 1)
+    t.train_iteration()
+    path = str(tmp_path / "run.ckpt")
+    t.save(path)
+    meta, arrays = load_checkpoint(path)
+    prefixes = tuple(prefix for prefix, _ in t._parts())
+    assert _TRAINER_KEYS <= set(meta)
+    stray = [k for k in [*meta, *arrays]
+             if k not in _TRAINER_KEYS and not k.startswith(prefixes)]
+    assert stray == []
+    assert any(k.startswith("tracker.") for k in meta)
+    assert "env.planes" in arrays and "env.agents" in meta
+
+
+@pytest.mark.parametrize("entry", ["collector.rng", "env.agents",
+                                   "tracker.lifetime", "adv_norm.std",
+                                   "update_rng"])
+def test_trainer_load_rejects_missing_header_entry(tmp_path, entry):
+    t = Trainer(_tiny_config(), 1)
+    t.train_iteration()
+    path = str(tmp_path / "run.ckpt")
+    t.save(path)
+    meta, arrays = load_checkpoint(path)
+    del meta[entry]
+    save_checkpoint(path, meta, arrays)
+    with pytest.raises(CheckpointError, match=rf"missing .*'{entry}'"):
+        Trainer(_tiny_config(), 1).load(path)
 
 
 def test_trainer_load_rejects_missing_memory_array(tmp_path):
