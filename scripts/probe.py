@@ -24,10 +24,12 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from gridexplore.harness import (  # noqa: E402
+    CheckpointError,
     ExperimentConfig,
     Trainer,
     probe_losses,
 )
+from gridexplore.harness.probes import ProbeError  # noqa: E402
 from gridexplore.methods import make_method  # noqa: E402
 from gridexplore.nn import EmbeddingModel  # noqa: E402
 
@@ -44,7 +46,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.checkpoint:
-        trainer = Trainer.from_checkpoint(args.checkpoint)
+        try:
+            trainer = Trainer.from_checkpoint(args.checkpoint)
+        except CheckpointError as exc:
+            raise SystemExit(f"{args.checkpoint}: {exc}")
         cfg, method = trainer.config, trainer.method
     else:
         cfg = ExperimentConfig(task=args.task)
@@ -55,8 +60,11 @@ def main(argv=None):
                          "trajectory-embedding model to probe")
 
     spec = replace(cfg.env_spec(), task=args.task)
-    for name, loss in probe_losses(model, spec, args.seed,
-                                   args.episodes).items():
+    try:
+        losses = probe_losses(model, spec, args.seed, args.episodes)
+    except ProbeError as exc:
+        raise SystemExit(f"probe: {exc}")
+    for name, loss in losses.items():
         print(f"{name}: {loss:.6g}")
 
 

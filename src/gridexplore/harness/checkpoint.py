@@ -1,41 +1,36 @@
-"""Checkpoint container: JSON metadata plus a packed-array blob.
-
-Layout: magic `GXCK`, u64 JSON length, UTF-8 JSON, then the tensor blob.
-Writes are atomic (temp file + rename), so a reader never sees a
-partially written checkpoint.
-"""
+"""Checkpoint container: one state dict in one packed-array blob. Its
+numpy arrays are the blob's entries, in the dict's order; every other
+value goes into one JSON object, stored as UTF-8 in the first entry,
+`meta`. Writes are atomic (temp file + rename), so a reader never sees a
+partially written checkpoint."""
 from __future__ import annotations
 
 import json
 import os
-import struct
 import tempfile
+
+import numpy as np
 
 from ..nn import BlobError, pack_arrays, unpack_arrays
 
-MAGIC = b"GXCK"
-VERSION = 7  # 2: uint8 grid planes and queue rows; 3: fused GRU weights;
-             # 4: meta config lines without the fixed PPO recipe;
-             # 5: no queue network rows without noise; 6: one env plane
-             # array, no episode lengths; 7: header values keyed by part
+VERSION = 8
 
 
 class CheckpointError(Exception):
     pass
 
 
-def save_checkpoint(path, meta: dict, arrays: dict) -> None:
-    meta = dict(meta, version=VERSION)
-    payload = json.dumps(meta, sort_keys=True).encode("utf-8")
-    blob = pack_arrays(arrays)
+def save_checkpoint(path, state: dict) -> None:
+    arrays = {k: v for k, v in state.items() if isinstance(v, np.ndarray)}
+    meta = {k: v for k, v in state.items() if k not in arrays}
+    payload = json.dumps(dict(meta, version=VERSION), sort_keys=True,
+                         separators=(",", ":")).encode("utf-8")
+    blob = pack_arrays({"meta": np.frombuffer(payload, np.uint8), **arrays})
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<Q", len(payload)))
-            fh.write(payload)
             fh.write(blob)
         os.replace(tmp, path)
     except BaseException:
@@ -44,20 +39,20 @@ def save_checkpoint(path, meta: dict, arrays: dict) -> None:
         raise
 
 
-def load_checkpoint(path):
-    """Returns (meta, arrays); raises CheckpointError on any corruption."""
+def load_checkpoint(path) -> dict:
+    """Returns the state dict; raises CheckpointError on any corruption."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != MAGIC:
-        raise CheckpointError("bad checkpoint magic")
-    if len(data) < 12:
-        raise CheckpointError("truncated checkpoint header")
-    (length,) = struct.unpack("<Q", data[4:12])
-    if len(data) < 12 + length:
-        raise CheckpointError("truncated checkpoint metadata")
+    if data[:4] == b"GXCK":
+        raise CheckpointError(f"unsupported checkpoint of version 7 or older; "
+                              f"this code reads version {VERSION}")
     try:
-        meta = json.loads(data[12 : 12 + length].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        arrays = unpack_arrays(data)
+    except BlobError as exc:
+        raise CheckpointError(f"corrupt array blob: {exc}") from exc
+    try:
+        meta = json.loads(arrays.pop("meta").tobytes().decode("utf-8"))
+    except (KeyError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt metadata: {exc}") from exc
     if not isinstance(meta, dict):
         raise CheckpointError("corrupt metadata: not a JSON object")
@@ -65,8 +60,4 @@ def load_checkpoint(path):
         raise CheckpointError(f"unsupported checkpoint version "
                               f"{meta.get('version')!r}; this code reads "
                               f"version {VERSION}")
-    try:
-        arrays = unpack_arrays(data[12 + length :])
-    except BlobError as exc:
-        raise CheckpointError(f"corrupt array blob: {exc}") from exc
-    return meta, arrays
+    return {**meta, **arrays}

@@ -100,8 +100,9 @@ class ExperimentConfig:
             raise ConfigError("rollout_steps must be divisible by bptt_len")
         if len(self.channels) != 3 or min(self.channels) <= 0:
             raise ConfigError("channels must be 3 positive widths")
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
+        if (not self.seeds or min(self.seeds) < 0
+                or len(set(self.seeds)) < len(self.seeds)):
+            raise ConfigError("seeds must be non-empty, distinct and >= 0")
         # a run trains on whole rollouts, and the bonus model on whole
         # batches of one rollout
         rollout = self.rollout_steps * self.workers

@@ -2,6 +2,7 @@
 normalizers, metrics, CSV output, and exact-resume checkpoints."""
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 
@@ -27,6 +28,17 @@ from .outputs import aggregate_csv, write_csv
 
 def _rng(seed, stream):
     return np.random.default_rng(np.random.SeedSequence([seed, stream]))
+
+
+@contextlib.contextmanager
+def _reading_checkpoint():
+    """Raises a missing or malformed checkpoint entry as CheckpointError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise CheckpointError(f"missing checkpoint entry {exc}") from exc
+    except EnvError as exc:
+        raise CheckpointError(str(exc)) from exc
 
 
 class Trainer:
@@ -123,11 +135,10 @@ class Trainer:
         """(checkpoint prefix, part) of every stateful part of a run: the
         networks and optimizers, the bonus method's own state, then the
         collector, the environment, the exploration tracker and the two
-        standardizers. A part's `state_arrays(prefix)` values are numpy
-        arrays, saved in the checkpoint's array blob, or JSON values (RNG
-        states, fingerprint sets as sorted hex, episode returns and
-        counts), saved in its header; `load_state(state, prefix)` reads
-        both from one merged dict."""
+        standardizers. Each part's `state_arrays(prefix)` adds numpy
+        arrays and JSON values (RNG states, fingerprint sets as sorted
+        hex, episode returns and counts) to one state dict, and its
+        `load_state(state, prefix)` reads them back from it."""
         m, c = self.method, self.collector
         return [("policy.", self.policy), ("popt.", self.opt),
                 *((f"m.{k}.", v) for k, v in m.modules().items()),
@@ -137,15 +148,13 @@ class Trainer:
                 ("adv_norm.", self.adv_norm)]
 
     def save(self, path):
-        meta = {"config": config_lines(self.config), "seed": self.seed,
-                "frames": self.frames, "iteration": self.iteration,
-                "update_rng": self.update_rng.bit_generator.state,
-                "method_rng": self.method_rng.bit_generator.state}
-        arrays = {}
+        state = {"config": config_lines(self.config), "seed": self.seed,
+                 "frames": self.frames, "iteration": self.iteration,
+                 "update_rng": self.update_rng.bit_generator.state,
+                 "method_rng": self.method_rng.bit_generator.state}
         for prefix, part in self._parts():
-            for k, v in part.state_arrays(prefix).items():
-                (arrays if isinstance(v, np.ndarray) else meta)[k] = v
-        save_checkpoint(path, meta, arrays)
+            state.update(part.state_arrays(prefix))
+        save_checkpoint(path, state)
 
     # run-control keys may legitimately change on resume (extending the
     # frame budget, new output dir); everything else must match exactly
@@ -154,37 +163,34 @@ class Trainer:
 
     def load(self, path):
         """Restore this trainer from a checkpoint of its config and seed."""
-        return self._restore(*load_checkpoint(path))
+        return self._restore(load_checkpoint(path))
 
     @classmethod
     def from_checkpoint(cls, path):
         """A trainer of the config and seed a checkpoint records, restored
         from it; the file is read once."""
-        meta, arrays = load_checkpoint(path)
-        cfg = load_config(None, dict(line.split(" = ", 1)
-                                     for line in meta["config"]))
-        return cls(cfg, meta["seed"])._restore(meta, arrays)
+        state = load_checkpoint(path)
+        with _reading_checkpoint():
+            pairs = dict(line.split(" = ", 1) for line in state["config"])
+            cfg, seed = load_config(None, pairs), state["seed"]
+        return cls(cfg, seed)._restore(state)
 
-    def _restore(self, meta, arrays):
+    def _restore(self, state):
         def essential(lines):
             return [l for l in lines if not l.startswith(self._RESUMABLE)]
 
-        if essential(meta["config"]) != essential(config_lines(self.config)):
-            raise CheckpointError("checkpoint config differs from current")
-        if meta["seed"] != self.seed:
-            raise CheckpointError("checkpoint seed differs from current")
-        state = {**meta, **arrays}
-        try:
+        current = essential(config_lines(self.config))
+        with _reading_checkpoint():
+            if essential(state["config"]) != current:
+                raise CheckpointError("checkpoint config differs from current")
+            if state["seed"] != self.seed:
+                raise CheckpointError("checkpoint seed differs from current")
             for prefix, part in self._parts():
                 part.load_state(state, prefix)
-            self.update_rng.bit_generator.state = meta["update_rng"]
-            self.method_rng.bit_generator.state = meta["method_rng"]
-            self.frames = meta["frames"]
-            self.iteration = meta["iteration"]
-        except KeyError as exc:
-            raise CheckpointError(f"missing checkpoint entry {exc}") from exc
-        except EnvError as exc:
-            raise CheckpointError(str(exc)) from exc
+            self.update_rng.bit_generator.state = state["update_rng"]
+            self.method_rng.bit_generator.state = state["method_rng"]
+            self.frames = state["frames"]
+            self.iteration = state["iteration"]
         # metric rows before the checkpoint are not replayed; resumed rows
         # continue from the checkpointed frame count
         self.rows = []

@@ -78,8 +78,8 @@ def unpack_arrays(blob: bytes) -> dict[str, np.ndarray]:
         if off != len(blob):
             raise BlobError("trailing bytes after arrays")
         return out
-    except struct.error as exc:
-        raise BlobError("truncated header") from exc
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise BlobError(f"truncated or corrupt header: {exc}") from exc
 
 
 def restored(saved: np.ndarray, like: np.ndarray) -> np.ndarray:

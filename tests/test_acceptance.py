@@ -18,6 +18,7 @@ sigma=0.1) pure PPO solves the task and every bonus ties at the ceiling.
 """
 import csv
 import dataclasses
+import glob
 import os
 import time
 
@@ -370,6 +371,29 @@ CACHED_RUNS = {
     "hard_forward_noisy": _hard_config(method="ForwardError"),
     "c8_deir_doorkey": _desk_config(task="DoorKey8", frames=300_000),
 }
+
+
+# every cached run of a method with a bonus model keeps that model's
+# weights blob
+_WEIGHTS = [(tag, seed) for tag, cfg in CACHED_RUNS.items()
+            if cfg.method != "NoIntrinsic" for seed in cfg.seeds]
+
+
+def test_cached_weights_are_one_blob_per_run_with_a_bonus_model():
+    found = glob.glob(os.path.join(CACHE, "*", "seed*.weights"))
+    assert sorted(os.path.relpath(p, CACHE) for p in found) == sorted(
+        os.path.join(tag, f"seed{seed}.weights") for tag, seed in _WEIGHTS)
+
+
+@pytest.mark.parametrize("tag,seed", _WEIGHTS)
+def test_cached_weights_blob_holds_its_runs_model(tag, seed):
+    # the blob parses and holds the model's arrays: the same names in the
+    # same order, of the same shapes and dtypes
+    with open(os.path.join(CACHE, tag, f"seed{seed}.weights"), "rb") as fh:
+        blob = unpack_arrays(fh.read())
+    model = make_method(CACHED_RUNS[tag], np.random.default_rng(0), 1).model
+    assert [(k, v.shape, v.dtype) for k, v in blob.items()] == [
+        (k, v.shape, v.dtype) for k, v in model.state_arrays().items()]
 
 
 def _assert_needs_exploration():

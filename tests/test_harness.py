@@ -37,7 +37,7 @@ from gridexplore.harness.outputs import OutputError
 from gridexplore.harness.probes import embed_dataset
 from gridexplore.intrinsic import DiscModel, ObservationQueue
 from gridexplore.methods import METHODS
-from gridexplore.nn import Adam
+from gridexplore.nn import Adam, pack_arrays, unpack_arrays
 from pinned_runs import DIGEST_CONFIGS, checkpoint_digest, training_digest
 from pinned_runs import tiny_config as _tiny_config
 
@@ -285,7 +285,8 @@ def test_load_config_rejects_bad_env_setting(pair):
     ("deir.beta=nan", "beta"),
     ("deir.model_minibatch=8193", "model_minibatch"),
     ("ppo.channels=8,0,16", "channels"), ("ppo.channels=8,16,-1", "channels"),
-    ("run.seeds=", "seeds"), ("run.frames=8191", "frames"),
+    ("run.seeds=", "seeds"), ("run.seeds=-1", "seeds"),
+    ("run.seeds=0,0", "seeds"), ("run.frames=8191", "frames"),
     ("run.log_every=0", "log_every"),
     ("run.checkpoint_every=-1", "checkpoint_every")])
 def test_load_config_rejects_bad_tuning_value(pair, name):
@@ -294,9 +295,10 @@ def test_load_config_rejects_bad_tuning_value(pair, name):
     # beta turns the weights or the rewards into NaN; a bonus-model batch
     # larger than the 8192-step default rollout is never drawn, a zero or
     # negative width breaks model construction, and no seed or less than
-    # one rollout of frames trains nothing; a zero log interval divides
-    # by zero after the first rollout, and a negative checkpoint interval
-    # means nothing
+    # one rollout of frames trains nothing; numpy refuses a negative seed,
+    # and a repeated one would train and aggregate one run twice; a zero
+    # log interval divides by zero after the first rollout, and a negative
+    # checkpoint interval means nothing
     with pytest.raises(ConfigError, match=rf"^{name} must be"):
         load_config(overrides=parse_overrides([pair]))
 
@@ -436,35 +438,61 @@ def test_checkpoint_round_trip(tmp_path):
         "w": np.arange(6, dtype=np.float32).reshape(2, 3),
         "stats": np.array([1.25, -0.5], dtype=np.float64),
     }
-    save_checkpoint(path, {"frames": 512}, arrays)
-    meta, back = load_checkpoint(path)
-    assert meta["frames"] == 512
+    save_checkpoint(path, {"frames": 512, **arrays})
+    back = load_checkpoint(path)
+    assert back["frames"] == 512
     assert back["w"].dtype == np.float32
     assert back["stats"].dtype == np.float64
     np.testing.assert_array_equal(back["w"], arrays["w"])
     np.testing.assert_array_equal(back["stats"], arrays["stats"])
 
 
-@pytest.mark.parametrize("old", [2, 3, 4, 5, 6])
+def test_checkpoint_is_one_array_blob_led_by_its_json_meta(tmp_path):
+    # the blob's entries are `meta`, then the state's arrays in its order
+    path = str(tmp_path / "run.ckpt")
+    w = np.ones(3, np.float32)
+    save_checkpoint(path, {"w": w, "frames": 512, "a": [1, "x"]})
+    with open(path, "rb") as fh:
+        blob = unpack_arrays(fh.read())
+    assert list(blob) == ["meta", "w"]
+    assert blob["meta"].dtype == np.uint8
+    assert blob["meta"].tobytes() == b'{"a":[1,"x"],"frames":512,"version":8}'
+    np.testing.assert_array_equal(blob["w"], w)
+
+
+def _rewrite_meta(path, payload):
+    """Replace the JSON bytes of the checkpoint at `path`."""
+    with open(path, "rb") as fh:
+        blob = unpack_arrays(fh.read())
+    blob["meta"] = np.frombuffer(payload, np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(pack_arrays(blob))
+
+
+@pytest.mark.parametrize("old", [2, 3, 4, 5, 6, "GXCK"])
 def test_checkpoint_refuses_old_version_naming_both_versions(tmp_path, old):
     # version 2 stored the GRU as nine gate arrays, version 3 fused them;
     # version 4 dropped the fixed PPO recipe from the meta's config lines;
     # version 5 keeps no queue network rows without noise; version 6
     # saves the env's grid planes as one array and no episode lengths;
-    # version 7 keys every header value by the part that saves it
+    # version 7 keys every header value by the part that saves it;
+    # version 8 stores the header as the array blob's `meta` entry
     path = str(tmp_path / "old.ckpt")
-    save_checkpoint(path, {"frames": 512}, {"w": np.zeros(2, np.float32)})
-    with open(path, "rb") as fh:
-        data = fh.read()
-    (length,) = struct.unpack("<Q", data[4:12])
-    meta = json.loads(data[12 : 12 + length])
-    assert meta["version"] == 7
-    payload = json.dumps(dict(meta, version=old)).encode()
-    with open(path, "wb") as fh:
-        fh.write(data[:4] + struct.pack("<Q", len(payload)) + payload
-                 + data[12 + length :])
+    save_checkpoint(path, {"frames": 512, "w": np.zeros(2, np.float32)})
+    assert load_checkpoint(path)["version"] == 8
+    if old == "GXCK":
+        # versions 7 and older framed their JSON header in a `GXCK`
+        # container, ahead of the array blob
+        header = json.dumps({"frames": 512, "version": 7}).encode()
+        with open(path, "wb") as fh:
+            fh.write(b"GXCK" + struct.pack("<Q", len(header)) + header
+                     + pack_arrays({"w": np.zeros(2, np.float32)}))
+        old = "7 or older"
+    else:
+        _rewrite_meta(path, json.dumps({"frames": 512,
+                                        "version": old}).encode())
     with pytest.raises(CheckpointError,
-                       match=rf"version {old}\b.*version 7\b"):
+                       match=rf"version {old}\b.*version 8\b"):
         load_checkpoint(path)
 
 
@@ -477,7 +505,7 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def test_checkpoint_truncated(tmp_path):
     path = str(tmp_path / "trunc.ckpt")
-    save_checkpoint(path, {"a": 1}, {"w": np.ones(8, np.float32)})
+    save_checkpoint(path, {"a": 1, "w": np.ones(8, np.float32)})
     data = open(path, "rb").read()
     open(path, "wb").write(data[:-7])
     with pytest.raises(CheckpointError):
@@ -486,34 +514,49 @@ def test_checkpoint_truncated(tmp_path):
 
 def test_checkpoint_corrupt_metadata(tmp_path):
     path = str(tmp_path / "corrupt.ckpt")
-    save_checkpoint(path, {"a": 1}, {"w": np.ones(4, np.float32)})
+    save_checkpoint(path, {"a": 1, "w": np.ones(4, np.float32)})
     data = bytearray(open(path, "rb").read())
-    data[14] ^= 0xFF  # flip a byte inside the JSON payload
+    data[data.index(b'{"a"') + 2] ^= 0xFF  # flip a byte inside the JSON
     open(path, "wb").write(bytes(data))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="corrupt metadata"):
         load_checkpoint(path)
+
+
+def test_checkpoint_entry_name_that_is_not_utf8(tmp_path):
+    # the first name byte follows the magic, the entry count and the
+    # name's length
+    path = str(tmp_path / "name.ckpt")
+    save_checkpoint(path, {"a": 1, "w": np.ones(4, np.float32)})
+    data = bytearray(open(path, "rb").read())
+    data[20] = 0xFF
+    open(path, "wb").write(bytes(data))
+    with pytest.raises(CheckpointError, match="corrupt array blob"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_without_meta_entry(tmp_path):
+    path = tmp_path / "bare.ckpt"
+    path.write_bytes(pack_arrays({"w": np.ones(4, np.float32)}))
+    with pytest.raises(CheckpointError, match="corrupt metadata"):
+        load_checkpoint(str(path))
 
 
 def test_checkpoint_metadata_that_is_not_an_object(tmp_path):
     # valid JSON of another type is corrupt metadata too
     path = str(tmp_path / "list.ckpt")
-    save_checkpoint(path, {"a": 1}, {"w": np.ones(4, np.float32)})
-    data = open(path, "rb").read()
-    (length,) = struct.unpack("<Q", data[4:12])
-    payload = b"[1, 2]"
-    open(path, "wb").write(data[:4] + struct.pack("<Q", len(payload))
-                           + payload + data[12 + length :])
+    save_checkpoint(path, {"a": 1, "w": np.ones(4, np.float32)})
+    _rewrite_meta(path, b"[1, 2]")
     with pytest.raises(CheckpointError, match="not a JSON object"):
         load_checkpoint(path)
 
 
 def test_checkpoint_atomic_leaves_no_temp(tmp_path):
     path = str(tmp_path / "run.ckpt")
-    save_checkpoint(path, {}, {"w": np.ones(2, np.float32)})
-    save_checkpoint(path, {}, {"w": np.zeros(2, np.float32)})
+    save_checkpoint(path, {"w": np.ones(2, np.float32)})
+    save_checkpoint(path, {"w": np.zeros(2, np.float32)})
     assert sorted(os.listdir(tmp_path)) == ["run.ckpt"]
-    _, arrays = load_checkpoint(path)
-    np.testing.assert_array_equal(arrays["w"], np.zeros(2, np.float32))
+    state = load_checkpoint(path)
+    np.testing.assert_array_equal(state["w"], np.zeros(2, np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -590,24 +633,24 @@ def test_training_digest_is_pinned(case):
 
 # sha256 of the checkpoint each case's tiny run writes (pinned_runs.py)
 _CHECKPOINT_DIGESTS = {
-    "DEIR": "b4f42c1175bc647247cc3dd4e4b2af11352d72c92312761643a61512ddf77f06",
+    "DEIR": "3339bdcf831294df74ad4981de99eafb9a0487cc322df4439ed03038006a7daf",
     "PlainNovelty":
-        "7938a71d19cfb428137835b66d2fe59c875325adf2c476a1329172ce05a429fa",
+        "488bfc3da7bc753aa772dc642a473efaaaa7cf1199a1589be972108eb82f6880",
     "ForwardError":
-        "2939227a7a5f42bf24b40803140ba2b5e3258d6e77f943df83e757113c47534d",
+        "ae962d2df6d775d8dc4526f5034a996c4ef22082a0ad6fd7ab0c5587b7dc14c9",
     "InverseDriven":
-        "fa9c55ff61b2f7e303e7e5336b31866e86786b2bb8b3ab42c3d9ba9cb58a087e",
-    "RND": "39b2d31d31f945e5d9f7671fc2363e6f4e6a2de1f074041dd6ca5ca5e28cd73c",
+        "1fdd1d3bef43c366ba20a8dfa69ed4a465c0d4e379742a53291988c722e81cef",
+    "RND": "85b4b03044c8ea1ab5c5fa494644f7fc845865bb6c1483f3489147cbf6d4090d",
     "NoIntrinsic":
-        "d9dca291b90476c08f21ae2ae0f678fc5ac64cffabc5ff7e3155e979e8f4149b",
+        "111d69c1159ae65269491ded6253f955065bcfeaa1f553c80d8726b675adc6d4",
     "DEIR-harsh":
-        "249fc2e4989b4ef9b85e810a6810fd42f599e8f77e04c2c512afd4c1788d5864",
+        "ddf023d19af50143a5310095929c8fde23b3429b8830cbf658111e3b93acc133",
     "DEIR-DoorKey8":
-        "528a781544072a542b13585ba74dd8832a0096af1adf23f4fe91e5959bc1e327",
+        "e634865f37fba3049e6a90fcbedc5e1972cebdff3ef335b1441045129b81b522",
     "DEIR-layer":
-        "14b063aa8a44532a2d52ccd0e1628c1524ed4e3508769da7f95b22cea1ff4bee",
+        "b429be0467c445e61b038f0981ddcc7710803f743633ffe14eef40dc6db02b08",
     "NoIntrinsic-minibatch16":
-        "aff7d424e0586766eb02341a21cb3581c030b27efc43ce262e2199cff1ed920e",
+        "8a1135c340544cf5b4e9ed6768f0ff0e6d1b9e7df49e3adba49cf46575e0cb99",
 }
 
 
@@ -634,9 +677,9 @@ def test_trainer_load_rejects_environment_shape_mismatch(tmp_path):
     t = Trainer(_tiny_config(), 1)
     path = str(tmp_path / "run.ckpt")
     t.save(path)
-    meta, arrays = load_checkpoint(path)
-    arrays["env.planes"] = arrays["env.planes"][:, :, 1:]  # one column less
-    save_checkpoint(path, meta, arrays)
+    state = load_checkpoint(path)
+    state["env.planes"] = state["env.planes"][:, :, 1:]  # one column less
+    save_checkpoint(path, state)
     with pytest.raises(CheckpointError, match="shape mismatch"):
         Trainer(_tiny_config(), 1).load(path)
 
@@ -652,13 +695,13 @@ def test_forward_error_checkpoint_keeps_no_episodic_memory(tmp_path):
     t.train_iteration()
     path = str(tmp_path / "run.ckpt")
     t.save(path)
-    meta, arrays = load_checkpoint(path)
-    assert not any(k.startswith("mx.mem") for k in arrays)
+    state = load_checkpoint(path)
+    assert not any(k.startswith("mx.mem") for k in state)
     for w in range(cfg.workers):
         for part in ("obs", "traj"):
-            arrays[f"mx.mem{w}_{part}"] = np.zeros((0, cfg.embed_dim),
-                                                  np.float32)
-    save_checkpoint(path, meta, arrays)
+            state[f"mx.mem{w}_{part}"] = np.zeros((0, cfg.embed_dim),
+                                                 np.float32)
+    save_checkpoint(path, state)
     resumed = Trainer(cfg, 1).load(path)
     rows = [resumed.train_iteration() for _ in range(2)]
     assert _tuples(rows) == _tuples(ref_rows[1:])
@@ -677,29 +720,32 @@ def test_checkpoint_entries_belong_to_the_trainer_or_a_part(tmp_path,
     t.train_iteration()
     path = str(tmp_path / "run.ckpt")
     t.save(path)
-    meta, arrays = load_checkpoint(path)
+    state = load_checkpoint(path)
     prefixes = tuple(prefix for prefix, _ in t._parts())
-    assert _TRAINER_KEYS <= set(meta)
-    stray = [k for k in [*meta, *arrays]
+    assert _TRAINER_KEYS <= set(state)
+    stray = [k for k in state
              if k not in _TRAINER_KEYS and not k.startswith(prefixes)]
     assert stray == []
-    assert any(k.startswith("tracker.") for k in meta)
-    assert "env.planes" in arrays and "env.agents" in meta
+    assert any(k.startswith("tracker.") for k in state)
+    assert isinstance(state["env.planes"], np.ndarray)
+    assert isinstance(state["env.agents"], list)
 
 
 @pytest.mark.parametrize("entry", ["collector.rng", "env.agents",
                                    "tracker.lifetime", "adv_norm.std",
-                                   "update_rng"])
+                                   "update_rng", "config", "seed"])
 def test_trainer_load_rejects_missing_header_entry(tmp_path, entry):
     t = Trainer(_tiny_config(), 1)
     t.train_iteration()
     path = str(tmp_path / "run.ckpt")
     t.save(path)
-    meta, arrays = load_checkpoint(path)
-    del meta[entry]
-    save_checkpoint(path, meta, arrays)
+    state = load_checkpoint(path)
+    del state[entry]
+    save_checkpoint(path, state)
     with pytest.raises(CheckpointError, match=rf"missing .*'{entry}'"):
         Trainer(_tiny_config(), 1).load(path)
+    with pytest.raises(CheckpointError, match=rf"missing .*'{entry}'"):
+        Trainer.from_checkpoint(path)
 
 
 def test_trainer_load_rejects_missing_memory_array(tmp_path):
@@ -707,9 +753,9 @@ def test_trainer_load_rejects_missing_memory_array(tmp_path):
     t.train_iteration()
     path = str(tmp_path / "run.ckpt")
     t.save(path)
-    meta, arrays = load_checkpoint(path)
-    del arrays["mx.mem1_traj"]
-    save_checkpoint(path, meta, arrays)
+    state = load_checkpoint(path)
+    del state["mx.mem1_traj"]
+    save_checkpoint(path, state)
     with pytest.raises(CheckpointError, match="mem1_traj"):
         Trainer(_tiny_config(), 1).load(path)
 

@@ -111,3 +111,12 @@ def test_blob_truncation_raises():
     blob = pack_arrays({"w": np.ones((4, 4), dtype=np.float32)})
     with pytest.raises(BlobError):
         unpack_arrays(blob[:-8])
+
+
+def test_blob_name_that_is_not_utf8_raises():
+    # the first name byte follows the magic, the entry count and the
+    # name's length
+    blob = bytearray(pack_arrays({"w": np.ones(2, dtype=np.float32)}))
+    blob[20] = 0xFF
+    with pytest.raises(BlobError):
+        unpack_arrays(bytes(blob))

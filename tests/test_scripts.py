@@ -109,6 +109,23 @@ def test_probe_refuses_a_method_without_an_embedding_model(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_probe_refuses_too_few_episodes():
+    res = _run("probe.py", "--random", "--episodes", 1)
+    assert res.returncode == 1
+    assert "dataset too small" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_probe_refuses_a_checkpoint_of_an_old_version(tmp_path):
+    # versions 7 and older framed the checkpoint in a `GXCK` container
+    path = tmp_path / "v7.ckpt"
+    path.write_bytes(b"GXCK" + bytes(32))
+    res = _run("probe.py", "--checkpoint", path)
+    assert res.returncode == 1
+    assert "version 7 or older" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_rerecord_rejects_an_unknown_cache():
     res = _run("rerecord.py", "no_such_cache")
     assert res.returncode == 2
