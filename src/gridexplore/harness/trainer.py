@@ -21,7 +21,7 @@ from ..ppo import (
     ppo_update,
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, config_lines, load_config
+from .config import ConfigError, ExperimentConfig, config_lines, load_config
 from .metrics import ExplorationTracker, MetricRow
 from .outputs import aggregate_csv, write_csv
 
@@ -39,6 +39,8 @@ def _reading_checkpoint():
         raise CheckpointError(f"missing checkpoint entry {exc}") from exc
     except EnvError as exc:
         raise CheckpointError(str(exc)) from exc
+    except (ConfigError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint entry: {exc}") from exc
 
 
 class Trainer:

@@ -1,6 +1,8 @@
 # Reverse-mode automatic differentiation over dense numpy arrays.
 # Dynamic graph: every op records a backward closure; Tensor.backward()
 # replays them in reverse topological order, accumulating into .grad.
+# Only leaves keep their .grad: backward frees each non-leaf node (its
+# gradient, closure and parents) as soon as it has been replayed.
 from __future__ import annotations
 
 import math
@@ -345,7 +347,9 @@ class Tensor:
         if not Tensor._grad_enabled:
             raise GraphError("backward called inside no_grad")
         if self._prev == () and self._backward is None:
-            raise GraphError("backward on a leaf with no recorded graph")
+            raise GraphError("backward on a tensor with no recorded graph: a "
+                             "leaf, or one whose graph an earlier backward "
+                             "freed")
         self.grad = (
             np.ones_like(self.data) if grad is None else np.asarray(grad)
         )
@@ -365,9 +369,15 @@ class Tensor:
             for child in node._prev:
                 if id(child) not in visited:
                     stack.append((child, False))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node)
+        # root first; each non-leaf is freed once its closure has run, so
+        # the graph and its saved arrays shrink as the pass goes
+        while order:
+            node = order.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node)
+                node.grad = node._backward = None
+                node._prev = ()
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
@@ -390,9 +400,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, k: int) -> Tensor:
     """NHWC stride-1 k x k convolution as one op: im2col, one matmul, bias.
 
     Columns are ordered (i, j, channel), matching `w`'s rows. The backward
-    lays the column gradient out window offset first, then scatters it
-    back with k*k adds of one contiguous block each, in row-major window
-    order, so it sums exactly as k*k window slices would.
+    computes the input gradient one window offset at a time, in row-major
+    order: the output gradient times that offset's c rows of `w`, added
+    into its window slice. Each product equals the matching columns of the
+    full column gradient bit for bit, and neither that gradient nor a copy
+    of it is held.
     """
     n, h, wd, c = x.data.shape
     oh, ow = h - k + 1, wd - k + 1
@@ -409,13 +421,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, k: int) -> Tensor:
         g2d = out.grad.reshape(n * oh * ow, -1)
         b._accum(_colsum(g2d))
         w._accum(cols.T @ g2d)
-        dcols = (g2d @ w.data.T).astype(x.data.dtype, copy=False).reshape(
-            n, oh, ow, k * k, c)
-        blocks = np.ascontiguousarray(dcols.transpose(3, 0, 1, 2, 4))
+        w_rows = w.data.reshape(k * k, c, -1)
         dx = np.zeros_like(x.data)
         for i in range(k):
             for j in range(k):
-                dx[:, i : i + oh, j : j + ow, :] += blocks[i * k + j]
+                term = (g2d @ w_rows[i * k + j].T).astype(x.data.dtype,
+                                                          copy=False)
+                dx[:, i : i + oh, j : j + ow, :] += term.reshape(n, oh, ow, c)
         x._accum(dx)
 
     # parents in (x, w, b) order: the topological sort then visits them as

@@ -1,9 +1,12 @@
+import hashlib
+import weakref
 import zlib
 
 import numpy as np
 import pytest
 
 from gridexplore.nn import GraphError, Tensor, concat, no_grad
+from gridexplore.nn.tensor import conv2d, gru_cell, normalize
 
 from gradcheck import max_grad_error, rand_tensor
 
@@ -173,3 +176,81 @@ def test_take_rows_backward_is_bit_equal_to_add_at():
     y.backward(grad)
     expected = _add_at_grad(x.data, (np.arange(5), picks), grad)
     assert _bits(x.grad) == _bits(expected)
+
+
+def _graph():
+    """A float32 graph through conv2d, relu, batch norm, a dense layer, a
+    GRU step and the policy-loss ops, one input reused twice: its leaves,
+    its conv2d and relu nodes, and its loss."""
+    rng = np.random.default_rng(21)
+
+    def leaf(*shape):
+        return Tensor(rng.standard_normal(shape).astype(np.float32))
+
+    x, cw, cb, gamma, beta = leaf(6, 5, 5, 3), leaf(12, 4), leaf(4), leaf(4), leaf(4)
+    dw, gw, gu, gun, gb, h = (leaf(64, 8), leaf(8, 24), leaf(8, 16),
+                              leaf(8, 8), leaf(24), leaf(6, 8))
+    conv = conv2d(x, cw, cb, 2)
+    relu = conv.relu()
+    norm, _, _ = normalize(relu, gamma, beta, (0, 1, 2), 1e-5)
+    hidden = (norm.reshape(6, 64) @ dw).tanh()
+    h_next = gru_cell(hidden, h, gw, gu, gun, gb)
+    picked = h_next.log_softmax().take_rows(np.arange(6) % 8)
+    loss = picked.mean() * -1.0 + (h_next * h_next).sum() * 0.01
+    return [x, cw, cb, gamma, beta, dw, gw, gu, gun, gb, h], conv, relu, loss
+
+
+def _non_leaves(root):
+    seen, stack, found = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            found.append(node)
+        stack.extend(node._prev)
+    return found
+
+
+def _closure(node):
+    """The arrays and tensors a node's backward closure holds, by name."""
+    fn = node._backward
+    return dict(zip(fn.__code__.co_freevars,
+                    (cell.cell_contents for cell in fn.__closure__)))
+
+
+# sha256 of the leaf gradients of _graph(), as the engine gave them while it
+# kept every non-leaf gradient and built conv2d's full column gradient
+_GRAPH_GRADS_DIGEST = (
+    "4b4fbcf86175d8ac5322c1ae441b2897dbb9fe6afb1d90c4326bcd35d1b34017")
+
+
+def test_backward_frees_every_non_leaf_and_keeps_leaf_grads():
+    leaves, conv, relu, loss = _graph()
+    inner = _non_leaves(loss)
+    assert len(inner) > 10 and conv in inner and loss in inner
+    loss.backward()
+    for node in inner:
+        assert (node.grad, node._backward, node._prev) == (None, None, ())
+    h = hashlib.sha256()
+    for t in leaves:
+        assert t.grad.dtype == np.float32 and t.grad.shape == t.shape
+        h.update(t.grad.tobytes())
+    assert h.hexdigest() == _GRAPH_GRADS_DIGEST
+
+
+def test_backward_frees_arrays_only_a_closure_held():
+    _, conv, relu, loss = _graph()
+    held = [weakref.ref(_closure(conv)["cols"]),
+            weakref.ref(_closure(relu)["mask"])]
+    assert all(ref() is not None for ref in held)
+    loss.backward()
+    assert all(ref() is None for ref in held)
+
+
+def test_second_backward_says_the_graph_was_freed():
+    _, _, _, loss = _graph()
+    loss.backward()
+    with pytest.raises(GraphError, match="earlier backward freed"):
+        loss.backward()

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -731,15 +732,20 @@ def test_checkpoint_entries_belong_to_the_trainer_or_a_part(tmp_path,
     assert isinstance(state["env.agents"], list)
 
 
-@pytest.mark.parametrize("entry", ["collector.rng", "env.agents",
-                                   "tracker.lifetime", "adv_norm.std",
-                                   "update_rng", "config", "seed"])
-def test_trainer_load_rejects_missing_header_entry(tmp_path, entry):
+def _saved_state(tmp_path):
+    """A tiny run's checkpoint path and its loaded state dict."""
     t = Trainer(_tiny_config(), 1)
     t.train_iteration()
     path = str(tmp_path / "run.ckpt")
     t.save(path)
-    state = load_checkpoint(path)
+    return path, load_checkpoint(path)
+
+
+@pytest.mark.parametrize("entry", ["collector.rng", "env.agents",
+                                   "tracker.lifetime", "adv_norm.std",
+                                   "update_rng", "config", "seed"])
+def test_trainer_load_rejects_missing_header_entry(tmp_path, entry):
+    path, state = _saved_state(tmp_path)
     del state[entry]
     save_checkpoint(path, state)
     with pytest.raises(CheckpointError, match=rf"missing .*'{entry}'"):
@@ -748,12 +754,35 @@ def test_trainer_load_rejects_missing_header_entry(tmp_path, entry):
         Trainer.from_checkpoint(path)
 
 
+def test_trainer_load_rejects_a_malformed_array(tmp_path):
+    path, state = _saved_state(tmp_path)
+    name = "policy.encoder.in_norm.gamma"
+    state[name] = state[name][:-1]
+    save_checkpoint(path, state)
+    with pytest.raises(CheckpointError, match="malformed .*cannot reshape"):
+        Trainer(_tiny_config(), 1).load(path)
+    with pytest.raises(CheckpointError, match="malformed .*cannot reshape"):
+        Trainer.from_checkpoint(path)
+
+
+def test_from_checkpoint_rejects_a_config_line_without_separator(tmp_path):
+    path, state = _saved_state(tmp_path)
+    state["config"] = state["config"] + ["run.frames"]
+    save_checkpoint(path, state)
+    with pytest.raises(CheckpointError, match="malformed"):
+        Trainer.from_checkpoint(path)
+
+
+def test_from_checkpoint_rejects_an_unknown_config_key(tmp_path):
+    path, state = _saved_state(tmp_path)
+    state["config"] = state["config"] + ["run.colour = red"]
+    save_checkpoint(path, state)
+    with pytest.raises(CheckpointError, match="unknown config key 'run.colour'"):
+        Trainer.from_checkpoint(path)
+
+
 def test_trainer_load_rejects_missing_memory_array(tmp_path):
-    t = Trainer(_tiny_config(), 1)
-    t.train_iteration()
-    path = str(tmp_path / "run.ckpt")
-    t.save(path)
-    state = load_checkpoint(path)
+    path, state = _saved_state(tmp_path)
     del state["mx.mem1_traj"]
     save_checkpoint(path, state)
     with pytest.raises(CheckpointError, match="mem1_traj"):
@@ -836,6 +865,27 @@ def test_trainer_metric_rows_monotone_frames():
     assert frames[0] == cfg.rollout_steps * cfg.workers
     for r in rows:
         assert 0.0 <= r.lifelong_eff <= r.episodic_eff <= 1.0
+
+
+def _iteration_peak_bytes(cfg):
+    """tracemalloc peak of one training iteration after a warm-up one."""
+    t = Trainer(cfg, 1)
+    t.train_iteration()
+    tracemalloc.start()
+    try:
+        t.train_iteration()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_more_model_epochs_keep_no_more_memory():
+    # each minibatch's graph is freed by its backward, so four epochs of
+    # bonus-model minibatches peak as high as one: the peak is set by the
+    # largest single graph, not by how many are built in a row
+    many = _iteration_peak_bytes(_tiny_config(model_epochs=4))
+    one = _iteration_peak_bytes(_tiny_config(model_epochs=1))
+    assert many <= 1.05 * one, (many, one)
 
 
 def test_run_experiment_emits_csvs(tmp_path):
