@@ -3,13 +3,13 @@
 cross-seed aggregate CSV.
 
 Usage:
-    python3 scripts/train.py [--config exp.cfg] [--seed N] [--frames N]
-                             [--out DIR] [--resume CKPT] [--quiet]
+    python3 scripts/train.py [--config exp.cfg] [--resume CKPT] [--quiet]
                              [key=value ...]
 
 Positional key=value pairs override config-file entries, e.g.
-`run.method=RND ppo.workers=8`. With --seed, only that seed runs;
-otherwise every seed in `run.seeds` is trained and aggregated.
+`run.method=RND ppo.workers=8 run.seeds=0`. Every seed in `run.seeds`
+is trained and aggregated. --resume continues the run of one seed from
+its checkpoint, so `run.seeds` must then name that seed alone.
 """
 import argparse
 import os
@@ -18,6 +18,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from gridexplore.harness import (  # noqa: E402
+    CheckpointError,
     ConfigError,
     load_config,
     parse_overrides,
@@ -28,11 +29,8 @@ from gridexplore.harness import (  # noqa: E402
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="flat key/value config file")
-    parser.add_argument("--seed", type=int, help="train only this seed")
-    parser.add_argument("--frames", type=int, help="override run.frames")
-    parser.add_argument("--out", help="override run.out directory")
     parser.add_argument("--resume", help="checkpoint to resume from "
-                                         "(single-seed mode only)")
+                                         "(run.seeds must name its seed)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress periodic progress lines")
     parser.add_argument("overrides", nargs="*", metavar="key=value",
@@ -40,20 +38,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        overrides = parse_overrides(args.overrides)
-        if args.frames is not None:
-            overrides["run.frames"] = str(args.frames)
-        if args.out is not None:
-            overrides["run.out"] = args.out
-        if args.seed is not None:
-            overrides["run.seeds"] = str(args.seed)
-        config = load_config(args.config, overrides)
+        config = load_config(args.config, parse_overrides(args.overrides))
+        run_experiment(config, progress=not args.quiet, resume=args.resume)
     except ConfigError as exc:
         parser.error(str(exc))
-
-    if args.resume and args.seed is None:
-        parser.error("--resume requires --seed")
-    run_experiment(config, progress=not args.quiet, resume=args.resume)
+    except CheckpointError as exc:
+        raise SystemExit(f"{args.resume}: {exc}")
 
 
 if __name__ == "__main__":

@@ -109,10 +109,10 @@ class Env:
         if self.planes is None or planes.shape != self.planes.shape:
             raise core.EnvError("environment shape mismatch")
         self.planes[:] = planes  # the worlds' grids are views into it
-        for w, row in zip(self.worlds, state[f"{prefix}agents"]):
+        for w, row in zip(self.worlds, state[f"{prefix}agents"], strict=True):
             x, y, d, obj, color, w.step_count, done = row
             w.agent_pos, w.agent_dir, w.done = (x, y), core.Dir(d), bool(done)
             w.carried = (obj, color) if obj else None
         for r, saved in zip(self._layout_rngs + self._noise_rngs,
-                            state[f"{prefix}rngs"]):
+                            state[f"{prefix}rngs"], strict=True):
             r.bit_generator.state = saved

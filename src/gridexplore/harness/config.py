@@ -3,8 +3,8 @@
 Files are UTF-8 text, one `key = value` pair per line, `#` comments.
 Keys are namespaced env.* / ppo.* / deir.* / run.*; each
 `ExperimentConfig` field declares its key, and its annotation picks the
-parser. Command-line overrides use the same `key=value` form. Unknown
-keys are rejected.
+parser. Config files, command-line pairs and a checkpoint's config lines
+all go through one parser. Unknown keys are rejected.
 """
 from __future__ import annotations
 
@@ -32,9 +32,10 @@ def _parse_ints(text):
     return tuple(int(p) for p in str(text).replace(",", " ").split())
 
 
-def _key(key, default):
-    """A field read from and written to config files as `key`."""
-    return field(default=default, metadata={"key": key})
+def _key(key, default, resumable=False):
+    """A field read from and written to config files as `key`; a resumable
+    one (run control) may differ between a checkpoint and its resumption."""
+    return field(default=default, metadata=dict(key=key, resumable=resumable))
 
 
 @dataclass
@@ -60,12 +61,12 @@ class ExperimentConfig:
     model_epochs: int = _key("deir.model_epochs", 4)
     model_minibatch: int = _key("deir.model_minibatch", 512)
     method: str = _key("run.method", "DEIR")
-    frames: int = _key("run.frames", 1_000_000)
-    seeds: tuple = _key("run.seeds", (0, 1, 2))
-    out: str = _key("run.out", "runs")
+    frames: int = _key("run.frames", 1_000_000, resumable=True)
+    seeds: tuple = _key("run.seeds", (0, 1, 2), resumable=True)
+    out: str = _key("run.out", "runs", resumable=True)
     # rollouts between checkpoints; 0 = only final
-    checkpoint_every: int = _key("run.checkpoint_every", 0)
-    log_every: int = _key("run.log_every", 1)
+    checkpoint_every: int = _key("run.checkpoint_every", 0, resumable=True)
+    log_every: int = _key("run.log_every", 1, resumable=True)
 
     def env_spec(self) -> EnvSpec:
         return EnvSpec(
@@ -124,29 +125,23 @@ _KEYS = {f.metadata["key"]: (f.name, _PARSERS[f.type])
          for f in fields(ExperimentConfig)}
 
 
-def parse_overrides(pairs):
-    """['key=value', ...] -> {key: value-string}."""
+def parse_overrides(pairs, where="command line"):
+    """['key = value', ...] -> {key: value-string}; blank entries are
+    skipped, and an error names `where` and the entry's 1-based line."""
     out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override {pair!r} is not key=value")
-        key, _, value = pair.partition("=")
-        out[key.strip()] = value.strip()
+    for lineno, pair in enumerate(pairs, 1):
+        key, sep, value = pair.partition("=")
+        if sep:
+            out[key.strip()] = value.strip()
+        elif pair.strip():
+            raise ConfigError(f"{where}:{lineno}: {pair.strip()!r} is not "
+                              "key = value")
     return out
 
 
 def _read_pairs(path):
-    pairs = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = text.partition("=")
-            pairs[key.strip()] = value.strip()
-    return pairs
+        return parse_overrides([line.split("#", 1)[0] for line in fh], path)
 
 
 def load_config(path=None, overrides=None) -> ExperimentConfig:
@@ -162,6 +157,14 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     return cfg.validate()
+
+
+def differing_keys(a: ExperimentConfig, b: ExperimentConfig):
+    """The keys of the fields, other than the resumable ones, on which two
+    configs differ."""
+    return [f.metadata["key"] for f in fields(a)
+            if not f.metadata["resumable"]
+            and getattr(a, f.name) != getattr(b, f.name)]
 
 
 def config_lines(cfg: ExperimentConfig):

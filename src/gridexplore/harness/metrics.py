@@ -99,7 +99,10 @@ class ExplorationTracker:
                 f"{prefix}fresh_start": list(self._fresh_start)}
 
     def load_state(self, state, prefix=""):
+        seen = state[f"{prefix}episode_seen"]
+        fresh = state[f"{prefix}fresh_start"]
+        if not len(seen) == len(fresh) == len(self._fresh_start):
+            raise ValueError("tracker state needs one entry per worker")
         self.lifetime = {bytes.fromhex(s) for s in state[f"{prefix}lifetime"]}
-        self._episode_seen = [{bytes.fromhex(s) for s in seen}
-                              for seen in state[f"{prefix}episode_seen"]]
-        self._fresh_start = list(state[f"{prefix}fresh_start"])
+        self._episode_seen = [{bytes.fromhex(s) for s in w} for w in seen]
+        self._fresh_start = list(fresh)

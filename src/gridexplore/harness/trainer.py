@@ -21,7 +21,8 @@ from ..ppo import (
     ppo_update,
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, ExperimentConfig, config_lines, load_config
+from .config import (ConfigError, ExperimentConfig, config_lines,
+                     differing_keys, load_config, parse_overrides)
 from .metrics import ExplorationTracker, MetricRow
 from .outputs import aggregate_csv, write_csv
 
@@ -41,6 +42,12 @@ def _reading_checkpoint():
         raise CheckpointError(str(exc)) from exc
     except (ConfigError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint entry: {exc}") from exc
+
+
+def _saved_config(state):
+    """The config a checkpoint's state dict records."""
+    return load_config(overrides=parse_overrides(state["config"],
+                                                 "checkpoint config"))
 
 
 class Trainer:
@@ -158,11 +165,6 @@ class Trainer:
             state.update(part.state_arrays(prefix))
         save_checkpoint(path, state)
 
-    # run-control keys may legitimately change on resume (extending the
-    # frame budget, new output dir); everything else must match exactly
-    _RESUMABLE = ("run.frames = ", "run.out = ", "run.checkpoint_every = ",
-                  "run.log_every = ")
-
     def load(self, path):
         """Restore this trainer from a checkpoint of its config and seed."""
         return self._restore(load_checkpoint(path))
@@ -173,18 +175,14 @@ class Trainer:
         from it; the file is read once."""
         state = load_checkpoint(path)
         with _reading_checkpoint():
-            pairs = dict(line.split(" = ", 1) for line in state["config"])
-            cfg, seed = load_config(None, pairs), state["seed"]
-        return cls(cfg, seed)._restore(state)
+            return cls(_saved_config(state), state["seed"])._restore(state)
 
     def _restore(self, state):
-        def essential(lines):
-            return [l for l in lines if not l.startswith(self._RESUMABLE)]
-
-        current = essential(config_lines(self.config))
         with _reading_checkpoint():
-            if essential(state["config"]) != current:
-                raise CheckpointError("checkpoint config differs from current")
+            differ = differing_keys(_saved_config(state), self.config)
+            if differ:
+                raise CheckpointError("checkpoint config differs from "
+                                      f"current in {', '.join(differ)}")
             if state["seed"] != self.seed:
                 raise CheckpointError("checkpoint seed differs from current")
             for prefix, part in self._parts():
@@ -199,28 +197,27 @@ class Trainer:
         return self
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, progress=False,
-                   resume=None):
+def run_experiment(config: ExperimentConfig, progress=False, resume=None):
     """Train every seed in the config; emit per-seed and aggregate CSVs.
 
     `resume` is a checkpoint to continue from; the config must then name
     one seed, the checkpoint's.
     """
     if resume and len(config.seeds) != 1:
-        raise ValueError("resuming needs a config of exactly one seed")
-    out_dir = out_dir or config.out
-    os.makedirs(out_dir, exist_ok=True)
+        raise ConfigError("resuming needs run.seeds to name one seed, the "
+                          "checkpoint's")
+    os.makedirs(config.out, exist_ok=True)
     seed_paths = []
     all_rows = {}
     for seed in config.seeds:
         trainer = Trainer(config, seed)
         if resume:
             trainer.load(resume)
-        csv_path = os.path.join(out_dir, f"seed{seed}.csv")
-        ckpt = os.path.join(out_dir, f"seed{seed}.ckpt")
+        csv_path = os.path.join(config.out, f"seed{seed}.csv")
+        ckpt = os.path.join(config.out, f"seed{seed}.ckpt")
         rows = trainer.run(csv_path=csv_path, checkpoint_path=ckpt,
                            progress=progress)
         seed_paths.append(csv_path)
         all_rows[seed] = rows
-    aggregate_csv(os.path.join(out_dir, "aggregate.csv"), seed_paths)
+    aggregate_csv(os.path.join(config.out, "aggregate.csv"), seed_paths)
     return all_rows

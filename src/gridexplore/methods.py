@@ -20,7 +20,7 @@ from .intrinsic import (
     novelty_reward,
     update_queue,
 )
-from .nn import Adam, Tensor, no_grad
+from .nn import Adam, Tensor, no_grad, restored
 from .ppo import ONE_HOT
 
 
@@ -178,9 +178,9 @@ class _RecurrentMethod(_ModelMethod):
         return out
 
     def load_state(self, arrays, prefix=""):
-        self.h = arrays[f"{prefix}h"]
-        self._h_before = arrays[f"{prefix}h_before"]
-        self.e_cur = arrays[f"{prefix}e_cur"]
+        self.h = restored(arrays[f"{prefix}h"], self.h)
+        self._h_before = restored(arrays[f"{prefix}h_before"], self._h_before)
+        self.e_cur = restored(arrays[f"{prefix}e_cur"], self.e_cur)
         for w, mem in enumerate(self.memories):
             mem.clear()
             for e_obs, e_traj in zip(arrays[f"{prefix}mem{w}_obs"],

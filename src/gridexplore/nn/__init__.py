@@ -13,7 +13,7 @@ from .layers import (
     orthogonal,
 )
 from .optim import Adam, clip_grad_norm
-from .serialize import BlobError, pack_arrays, unpack_arrays
+from .serialize import BlobError, pack_arrays, restored, unpack_arrays
 
 __all__ = [
     "Adam",
@@ -35,5 +35,6 @@ __all__ = [
     "no_grad",
     "orthogonal",
     "pack_arrays",
+    "restored",
     "unpack_arrays",
 ]

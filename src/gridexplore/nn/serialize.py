@@ -82,7 +82,9 @@ def unpack_arrays(blob: bytes) -> dict[str, np.ndarray]:
         raise BlobError(f"truncated or corrupt header: {exc}") from exc
 
 
-def restored(saved: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """A loaded array cast and reshaped to the dtype and shape of the
-    array it replaces."""
-    return saved.astype(like.dtype).reshape(like.shape)
+def restored(saved, like: np.ndarray) -> np.ndarray:
+    """A loaded array (or list) of the shape of the array it replaces,
+    cast to its dtype; ValueError on any other shape."""
+    if np.shape(saved) != like.shape:
+        raise ValueError(f"saved shape {np.shape(saved)} is not {like.shape}")
+    return np.array(saved, like.dtype)

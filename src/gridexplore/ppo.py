@@ -16,6 +16,7 @@ from .nn import (
     clip_grad_norm,
     concat,
     no_grad,
+    restored,
 )
 
 
@@ -332,10 +333,12 @@ class Collector:
                 f"{prefix}total_episodes": self.total_episodes}
 
     def load_state(self, state, prefix=""):
-        self.cur_obs = state[f"{prefix}cur_obs"].astype(np.float32)
-        self.policy_hidden = state[f"{prefix}policy_hidden"].astype(np.float32)
+        self.cur_obs = restored(state[f"{prefix}cur_obs"], self.cur_obs)
+        self.policy_hidden = restored(state[f"{prefix}policy_hidden"],
+                                      self.policy_hidden)
         self.rng.bit_generator.state = state[f"{prefix}rng"]
-        self.episode_returns[:] = state[f"{prefix}episode_returns"]
+        self.episode_returns = restored(state[f"{prefix}episode_returns"],
+                                        self.episode_returns)
         self.finished_episodes.clear()
         self.finished_episodes.extend(state[f"{prefix}finished_episodes"])
         self.total_episodes = state[f"{prefix}total_episodes"]

@@ -615,8 +615,8 @@ def _tiny_config():
 
 def test_accept_rerun_csvs_bit_identical(tmp_path):
     cfg = _tiny_config()
-    run_experiment(cfg, str(tmp_path / "a"))
-    run_experiment(cfg, str(tmp_path / "b"))
+    run_experiment(dataclasses.replace(cfg, out=str(tmp_path / "a")))
+    run_experiment(dataclasses.replace(cfg, out=str(tmp_path / "b")))
     a = (tmp_path / "a" / "seed1.csv").read_bytes()
     b = (tmp_path / "b" / "seed1.csv").read_bytes()
     assert a == b

@@ -263,6 +263,17 @@ def test_parse_overrides_requires_equals():
         parse_overrides(["ppo.workers"])
 
 
+def test_config_errors_name_their_source_and_line(tmp_path):
+    # a config file, the command line and a checkpoint's config lines go
+    # through one parser, which counts blank and comment lines
+    path = tmp_path / "bad.cfg"
+    path.write_text("# a comment\n\nppo.workers = 2\nppo.workers 4\n")
+    with pytest.raises(ConfigError, match=rf"^{path}:4: 'ppo.workers 4'"):
+        load_config(str(path))
+    with pytest.raises(ConfigError, match=r"^command line:2: 'run.out'"):
+        parse_overrides(["ppo.workers=2", "run.out"])
+
+
 def test_validate_rejects_unknown_task_and_method():
     with pytest.raises(ConfigError):
         ExperimentConfig(task="Nowhere").validate()
@@ -674,6 +685,26 @@ def test_trainer_load_rejects_config_and_seed_mismatch(tmp_path):
         Trainer(_tiny_config(method="RND"), 1).load(path)
 
 
+def test_trainer_load_names_the_keys_that_differ_and_skips_run_control(
+        tmp_path):
+    cfg = _tiny_config(seeds=(1, 2))
+    t = Trainer(cfg, 1)
+    t.train_iteration()
+    path = str(tmp_path / "run.ckpt")
+    t.save(path)
+    with pytest.raises(CheckpointError,
+                       match=r"differs from current in env\.task$"):
+        Trainer(dataclasses.replace(cfg, task="DoorKey8"), 1).load(path)
+    with pytest.raises(CheckpointError,
+                       match=r"in ppo\.lr, run\.method$"):
+        Trainer(dataclasses.replace(cfg, lr=1e-3, method="RND"), 1).load(path)
+    # run control may change: one seed of the two, a longer run, another
+    # output directory, other checkpoint and log intervals
+    resumed = dataclasses.replace(cfg, seeds=(1,), frames=192, out="elsewhere",
+                                  checkpoint_every=2, log_every=3)
+    assert Trainer(resumed, 1).load(path).frames == 64
+
+
 def test_trainer_load_rejects_environment_shape_mismatch(tmp_path):
     t = Trainer(_tiny_config(), 1)
     path = str(tmp_path / "run.ckpt")
@@ -759,10 +790,37 @@ def test_trainer_load_rejects_a_malformed_array(tmp_path):
     name = "policy.encoder.in_norm.gamma"
     state[name] = state[name][:-1]
     save_checkpoint(path, state)
-    with pytest.raises(CheckpointError, match="malformed .*cannot reshape"):
+    with pytest.raises(CheckpointError, match="malformed .*saved shape"):
         Trainer(_tiny_config(), 1).load(path)
-    with pytest.raises(CheckpointError, match="malformed .*cannot reshape"):
+    with pytest.raises(CheckpointError, match="malformed .*saved shape"):
         Trainer.from_checkpoint(path)
+
+
+@pytest.mark.parametrize("entry", [
+    "collector.cur_obs", "collector.policy_hidden",
+    "collector.episode_returns", "mx.h", "mx.h_before", "mx.e_cur",
+    "env.agents", "env.rngs", "tracker.episode_seen", "tracker.fresh_start"])
+def test_trainer_load_rejects_per_worker_state_one_worker_short(tmp_path,
+                                                               entry):
+    # numpy would broadcast an array one row short, and a list one entry
+    # short would leave a worker (with env.rngs, its RNG) unrestored; the
+    # run would train on either way
+    path, state = _saved_state(tmp_path)
+    state[entry] = state[entry][:-1]
+    save_checkpoint(path, state)
+    with pytest.raises(CheckpointError, match="malformed"):
+        Trainer(_tiny_config(), 1).load(path)
+
+
+def test_trainer_load_rejects_a_transposed_weight(tmp_path):
+    # same size, other shape: a reshape would have loaded it
+    path, state = _saved_state(tmp_path)
+    name = "policy.encoder.conv0.w"
+    assert len(set(state[name].shape)) > 1
+    state[name] = np.ascontiguousarray(state[name].T)
+    save_checkpoint(path, state)
+    with pytest.raises(CheckpointError, match="malformed .*saved shape"):
+        Trainer(_tiny_config(), 1).load(path)
 
 
 def test_from_checkpoint_rejects_a_config_line_without_separator(tmp_path):
@@ -889,9 +947,9 @@ def test_more_model_epochs_keep_no_more_memory():
 
 
 def test_run_experiment_emits_csvs(tmp_path):
-    cfg = _tiny_config(seeds=(1, 2), frames=64)
     out = str(tmp_path / "runs")
-    all_rows = run_experiment(cfg, out)
+    cfg = _tiny_config(seeds=(1, 2), frames=64, out=out)
+    all_rows = run_experiment(cfg)
     assert set(all_rows) == {1, 2}
     for seed in (1, 2):
         assert os.path.exists(os.path.join(out, f"seed{seed}.csv"))
@@ -902,8 +960,8 @@ def test_run_experiment_emits_csvs(tmp_path):
 def test_run_experiment_csvs_bit_identical(tmp_path):
     cfg = _tiny_config(seeds=(1,), frames=64)
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-    run_experiment(cfg, out_a)
-    run_experiment(cfg, out_b)
+    run_experiment(dataclasses.replace(cfg, out=out_a))
+    run_experiment(dataclasses.replace(cfg, out=out_b))
     for name in ("seed1.csv", "aggregate.csv"):
         a = open(os.path.join(out_a, name), "rb").read()
         b = open(os.path.join(out_b, name), "rb").read()

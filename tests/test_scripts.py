@@ -1,6 +1,9 @@
 """The command-line entry points, run as a user runs them."""
+import glob
 import hashlib
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,12 +12,18 @@ import pytest
 
 from pinned_runs import tiny_config
 
-from gridexplore.harness import PROBE_TASKS, Trainer, probe_losses
+from gridexplore.harness import (
+    PROBE_TASKS,
+    Trainer,
+    load_config,
+    parse_overrides,
+    probe_losses,
+)
 from gridexplore.harness.config import config_lines
 
-SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
-# tiny_config() as command-line overrides; --seed, --frames and --out
-# take precedence over them
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SCRIPTS = os.path.join(ROOT, "scripts")
+# tiny_config() as command-line overrides; later pairs take precedence
 TINY = [line.replace(" = ", "=", 1) for line in config_lines(tiny_config())]
 
 
@@ -29,18 +38,84 @@ def _csv_lines(out_dir):
         return fh.read().splitlines()
 
 
+def _train(out, frames, *args, seeds=1):
+    res = _run("train.py", "--quiet", *args, *TINY, f"run.seeds={seeds}",
+               f"run.frames={frames}", f"run.out={out}")
+    assert res.returncode == 0, res.stderr
+
+
 def test_train_resume_ends_with_the_straight_run_rows(tmp_path):
     straight, part = tmp_path / "straight", tmp_path / "part"
     for out, frames, resume in ((straight, 192, ()), (part, 64, ()),
                                 (part, 192, ("--resume",
                                              part / "seed1.ckpt"))):
-        res = _run("train.py", "--seed", 1, "--frames", frames, "--out", out,
-                   "--quiet", *resume, *TINY)
-        assert res.returncode == 0, res.stderr
+        _train(out, frames, *resume)
     full, resumed = _csv_lines(straight), _csv_lines(part)
     # header and the two rows trained after the 64-frame checkpoint
     assert len(full) == 4 and len(resumed) == 3
     assert resumed == full[:1] + full[2:]
+
+
+def test_train_resumes_one_seed_of_a_multi_seed_run(tmp_path):
+    straight, part = tmp_path / "straight", tmp_path / "part"
+    _train(straight, 192)
+    _train(part, 64, seeds="1,2")
+    _train(part, 192, "--resume", part / "seed1.ckpt")
+    full, resumed = _csv_lines(straight), _csv_lines(part)
+    assert len(full) == 4 and resumed == full[:1] + full[2:]
+
+
+def test_train_resume_needs_one_seed_and_a_matching_config(tmp_path):
+    part = tmp_path / "part"
+    _train(part, 64)
+    ckpt = part / "seed1.ckpt"
+    res = _run("train.py", "--resume", ckpt, *TINY, "run.seeds=1,2",
+               f"run.out={part}")
+    assert res.returncode == 2
+    assert "resuming needs run.seeds to name one seed" in res.stderr
+    res = _run("train.py", "--resume", ckpt, *TINY, "run.seeds=1",
+               "env.task=DoorKey8", f"run.out={part}")
+    assert res.returncode == 1
+    assert res.stderr.strip() == (f"{ckpt}: checkpoint config differs from "
+                                  "current in env.task")
+
+
+def test_shipped_configs_load():
+    paths = glob.glob(os.path.join(ROOT, "configs", "*.cfg"))
+    assert paths
+    for path in paths:
+        load_config(path)
+
+
+def _readme_train_commands():
+    """The arguments of each `scripts/train.py` command in README's sh
+    blocks, continuation lines joined."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[2:] for line in lines
+            if line.startswith("python3 scripts/train.py")]
+
+
+def test_readme_train_commands_use_listed_flags_and_known_keys():
+    res = _run("train.py", "--help")
+    assert res.returncode == 0, res.stderr
+    # flag -> its metavar, empty for a switch
+    flags = dict(re.findall(r"\[(--[\w-]+) ?([A-Z]*)\]", res.stdout))
+    assert {"--config", "--resume", "--quiet"} <= set(flags)
+    commands = _readme_train_commands()
+    assert commands
+    for args in commands:
+        config, pairs, it = None, [], iter(args)
+        for arg in it:
+            if not arg.startswith("--"):
+                pairs.append(arg)
+                continue
+            assert arg in flags, f"README uses {arg}, which train.py lacks"
+            value = next(it) if flags[arg] else None
+            if arg == "--config":
+                config = os.path.join(ROOT, value)
+        load_config(config, parse_overrides(pairs))  # parses, trains nothing
 
 
 def _trained(method, **kw):
