@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import re
 import struct
 import tracemalloc
 
@@ -268,7 +269,8 @@ def test_config_errors_name_their_source_and_line(tmp_path):
     # through one parser, which counts blank and comment lines
     path = tmp_path / "bad.cfg"
     path.write_text("# a comment\n\nppo.workers = 2\nppo.workers 4\n")
-    with pytest.raises(ConfigError, match=rf"^{path}:4: 'ppo.workers 4'"):
+    with pytest.raises(ConfigError,
+                       match=rf"^{re.escape(str(path))}:4: 'ppo.workers 4'"):
         load_config(str(path))
     with pytest.raises(ConfigError, match=r"^command line:2: 'run.out'"):
         parse_overrides(["ppo.workers=2", "run.out"])
