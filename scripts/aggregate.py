@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Aggregate per-seed metric CSVs into mean ± standard error per column.
 
+The seed CSVs must share their header and `frames` column.
+
 Usage:
     python3 scripts/aggregate.py --out aggregate.csv seed0.csv seed1.csv ...
 """
@@ -11,6 +13,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from gridexplore.harness import aggregate_csv  # noqa: E402
+from gridexplore.harness.outputs import OutputError  # noqa: E402
 
 
 def main(argv=None):
@@ -18,7 +21,10 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="output CSV path")
     parser.add_argument("seed_csvs", nargs="+", help="per-seed metric CSVs")
     args = parser.parse_args(argv)
-    aggregate_csv(args.out, args.seed_csvs)
+    try:
+        aggregate_csv(args.out, args.seed_csvs)
+    except OutputError as exc:
+        raise SystemExit(f"aggregate: {exc}")
 
 
 if __name__ == "__main__":

@@ -3,13 +3,15 @@
 cross-seed aggregate CSV.
 
 Usage:
-    python3 scripts/train.py [--config exp.cfg] [--resume CKPT] [--quiet]
+    python3 scripts/train.py [--config exp.cfg] [--resume] [--quiet]
                              [key=value ...]
 
 Positional key=value pairs override config-file entries, e.g.
 `run.method=RND ppo.workers=8 run.seeds=0`. Every seed in `run.seeds`
-is trained and aggregated. --resume continues the run of one seed from
-its checkpoint, so `run.seeds` must then name that seed alone.
+is trained and aggregated. --resume continues each seed from its
+checkpoint `run.out/seedN.ckpt`, if it has one, and trains a seed
+without one from the start; the outputs are byte for byte those of a
+run that never stopped.
 """
 import argparse
 import os
@@ -29,8 +31,9 @@ from gridexplore.harness import (  # noqa: E402
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="flat key/value config file")
-    parser.add_argument("--resume", help="checkpoint to resume from "
-                                         "(run.seeds must name its seed)")
+    parser.add_argument("--resume", action="store_true",
+                        help="continue each seed from its checkpoint in "
+                             "run.out")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress periodic progress lines")
     parser.add_argument("overrides", nargs="*", metavar="key=value",
@@ -43,7 +46,7 @@ def main(argv=None):
     except ConfigError as exc:
         parser.error(str(exc))
     except CheckpointError as exc:
-        raise SystemExit(f"{args.resume}: {exc}")
+        raise SystemExit(str(exc))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..nn import BlobError, pack_arrays, unpack_arrays
 
-VERSION = 8
+VERSION = 9
 
 
 class CheckpointError(Exception):
@@ -40,9 +40,14 @@ def save_checkpoint(path, state: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Returns the state dict; raises CheckpointError on any corruption."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Returns the state dict; raises CheckpointError on any corruption or
+    a file it cannot read."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint: "
+                              f"{exc.strerror or exc}") from exc
     if data[:4] == b"GXCK":
         raise CheckpointError(f"unsupported checkpoint of version 7 or older; "
                               f"this code reads version {VERSION}")

@@ -41,16 +41,19 @@ def _read_csv(path):
 def aggregate_csv(out_path, seed_paths):
     """Mean and standard error per column across per-seed CSVs.
 
-    Rows are aligned by position (same config implies identical frame
-    grids). Standard error uses the sample standard deviation; a single
-    seed reports zero."""
+    Every seed CSV must have the first one's header and `frames` column,
+    so rows align by position. Standard error uses the sample standard
+    deviation; a single seed reports zero."""
     if not seed_paths:
         raise OutputError("no seed files to aggregate")
     headers, tables = zip(*(_read_csv(p) for p in seed_paths))
-    if any(h != headers[0] for h in headers):
-        raise OutputError("seed CSV headers differ")
-    n_rows = min(len(t) for t in tables)
-    header = headers[0]
+    header, frames = headers[0], [r[0] for r in tables[0]]
+    for path, h, t in zip(seed_paths[1:], headers[1:], tables[1:]):
+        if h != header:
+            raise OutputError(f"{path}: header differs from {seed_paths[0]}")
+        if [r[0] for r in t] != frames:
+            raise OutputError(f"{path}: frames column differs from "
+                              f"{seed_paths[0]}")
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         out_header = ["frames"]
@@ -58,8 +61,8 @@ def aggregate_csv(out_path, seed_paths):
             out_header += [f"{col}_mean", f"{col}_stderr"]
         writer.writerow(out_header)
         n = len(tables)
-        for i in range(n_rows):
-            row = [_fmt(int(tables[0][i][0]))]
+        for i, frame in enumerate(frames):
+            row = [_fmt(int(frame))]
             for j in range(1, len(header)):
                 vals = [t[i][j] for t in tables]
                 mean = sum(vals) / n

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import os
 import time
+from dataclasses import astuple
 
 import numpy as np
 
@@ -40,7 +41,7 @@ def _reading_checkpoint():
         raise CheckpointError(f"missing checkpoint entry {exc}") from exc
     except EnvError as exc:
         raise CheckpointError(str(exc)) from exc
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint entry: {exc}") from exc
 
 
@@ -75,9 +76,15 @@ class Trainer:
         self.ir_norm = EmaStandardizer()
         self.adv_norm = EmaStandardizer()
         self.tracker = ExplorationTracker(cfg.workers)
-        self.frames = 0
-        self.iteration = 0
         self.rows: list[MetricRow] = []
+
+    @property
+    def iteration(self):
+        return len(self.rows)
+
+    @property
+    def frames(self):
+        return self.iteration * self.config.rollout_steps * self.config.workers
 
     # -- one collect/update cycle -----------------------------------------
 
@@ -99,12 +106,10 @@ class Trainer:
                                     minibatch=cfg.model_minibatch)
         ep_eff, life_eff = self.tracker.update(buf.states, buf.dones)
 
-        self.frames += cfg.rollout_steps * cfg.workers
-        self.iteration += 1
         window = self.collector.finished_episodes
         mean_return = sum(window) / len(window) if window else 0.0
         row = MetricRow(
-            frames=self.frames,
+            frames=self.frames + cfg.rollout_steps * cfg.workers,
             mean_return=mean_return,
             episodic_eff=ep_eff,
             lifelong_eff=life_eff,
@@ -158,7 +163,7 @@ class Trainer:
 
     def save(self, path):
         state = {"config": config_lines(self.config), "seed": self.seed,
-                 "frames": self.frames, "iteration": self.iteration,
+                 "rows": [list(astuple(row)) for row in self.rows],
                  "update_rng": self.update_rng.bit_generator.state,
                  "method_rng": self.method_rng.bit_generator.state}
         for prefix, part in self._parts():
@@ -185,36 +190,39 @@ class Trainer:
                                       f"current in {', '.join(differ)}")
             if state["seed"] != self.seed:
                 raise CheckpointError("checkpoint seed differs from current")
+            width = len(MetricRow.columns())
+            if any(len(row) != width for row in state["rows"]):
+                raise ValueError(f"metric rows need {width} values each")
+            self.rows = [MetricRow(*row) for row in state["rows"]]
+            if self.frames > self.config.frames:
+                raise CheckpointError(
+                    f"checkpoint holds {self.frames} frames, past "
+                    f"run.frames = {self.config.frames}")
             for prefix, part in self._parts():
                 part.load_state(state, prefix)
             self.update_rng.bit_generator.state = state["update_rng"]
             self.method_rng.bit_generator.state = state["method_rng"]
-            self.frames = state["frames"]
-            self.iteration = state["iteration"]
-        # metric rows before the checkpoint are not replayed; resumed rows
-        # continue from the checkpointed frame count
-        self.rows = []
         return self
 
 
-def run_experiment(config: ExperimentConfig, progress=False, resume=None):
+def run_experiment(config: ExperimentConfig, progress=False, resume=False):
     """Train every seed in the config; emit per-seed and aggregate CSVs.
 
-    `resume` is a checkpoint to continue from; the config must then name
-    one seed, the checkpoint's.
+    With `resume`, each seed continues from its checkpoint in `run.out`,
+    if it has one; the outputs are those of a run that never stopped.
     """
-    if resume and len(config.seeds) != 1:
-        raise ConfigError("resuming needs run.seeds to name one seed, the "
-                          "checkpoint's")
     os.makedirs(config.out, exist_ok=True)
     seed_paths = []
     all_rows = {}
     for seed in config.seeds:
         trainer = Trainer(config, seed)
-        if resume:
-            trainer.load(resume)
         csv_path = os.path.join(config.out, f"seed{seed}.csv")
         ckpt = os.path.join(config.out, f"seed{seed}.ckpt")
+        if resume and os.path.exists(ckpt):
+            try:
+                trainer.load(ckpt)
+            except CheckpointError as exc:
+                raise CheckpointError(f"{ckpt}: {exc}") from exc
         rows = trainer.run(csv_path=csv_path, checkpoint_path=ckpt,
                            progress=progress)
         seed_paths.append(csv_path)

@@ -421,6 +421,23 @@ def test_aggregate_no_seeds_errors(tmp_path):
         aggregate_csv(str(tmp_path / "agg.csv"), [])
 
 
+@pytest.mark.parametrize("grids", [((64, 128), (64, 192, 256)),
+                                   ((64, 128), (64, 128, 192)),
+                                   ((64, 128), (64,))])
+def test_aggregate_refuses_seeds_of_other_frames(tmp_path, grids):
+    # rows align by position only where every seed has the same frames
+    paths = []
+    for i, grid in enumerate(grids):
+        p = str(tmp_path / f"seed{i}.csv")
+        write_csv(p, [_row(f, 0.5) for f in grid])
+        paths.append(p)
+    with pytest.raises(OutputError) as err:
+        aggregate_csv(str(tmp_path / "agg.csv"), paths)
+    assert str(err.value) == (f"{paths[1]}: frames column differs from "
+                              f"{paths[0]}")
+    assert not (tmp_path / "agg.csv").exists()
+
+
 def test_aggregate_mean_within_seed_range(tmp_path):
     rng = np.random.default_rng(3)
     paths = []
@@ -470,7 +487,7 @@ def test_checkpoint_is_one_array_blob_led_by_its_json_meta(tmp_path):
         blob = unpack_arrays(fh.read())
     assert list(blob) == ["meta", "w"]
     assert blob["meta"].dtype == np.uint8
-    assert blob["meta"].tobytes() == b'{"a":[1,"x"],"frames":512,"version":8}'
+    assert blob["meta"].tobytes() == b'{"a":[1,"x"],"frames":512,"version":9}'
     np.testing.assert_array_equal(blob["w"], w)
 
 
@@ -483,17 +500,19 @@ def _rewrite_meta(path, payload):
         fh.write(pack_arrays(blob))
 
 
-@pytest.mark.parametrize("old", [2, 3, 4, 5, 6, "GXCK"])
+@pytest.mark.parametrize("old", [2, 3, 4, 5, 6, 8, "GXCK"])
 def test_checkpoint_refuses_old_version_naming_both_versions(tmp_path, old):
     # version 2 stored the GRU as nine gate arrays, version 3 fused them;
     # version 4 dropped the fixed PPO recipe from the meta's config lines;
     # version 5 keeps no queue network rows without noise; version 6
     # saves the env's grid planes as one array and no episode lengths;
     # version 7 keys every header value by the part that saves it;
-    # version 8 stores the header as the array blob's `meta` entry
+    # version 8 stores the header as the array blob's `meta` entry;
+    # version 9 saves the metric rows in place of the frame and
+    # iteration counts
     path = str(tmp_path / "old.ckpt")
     save_checkpoint(path, {"frames": 512, "w": np.zeros(2, np.float32)})
-    assert load_checkpoint(path)["version"] == 8
+    assert load_checkpoint(path)["version"] == 9
     if old == "GXCK":
         # versions 7 and older framed their JSON header in a `GXCK`
         # container, ahead of the array blob
@@ -506,7 +525,7 @@ def test_checkpoint_refuses_old_version_naming_both_versions(tmp_path, old):
         _rewrite_meta(path, json.dumps({"frames": 512,
                                         "version": old}).encode())
     with pytest.raises(CheckpointError,
-                       match=rf"version {old}\b.*version 8\b"):
+                       match=rf"version {old}\b.*version 9\b"):
         load_checkpoint(path)
 
 
@@ -597,7 +616,8 @@ def test_trainer_rerun_bit_identical():
 @pytest.mark.parametrize("method", METHODS)
 def test_trainer_resume_reproduces_next_rows(tmp_path, method, sigma):
     # a 16-row queue wraps before the save, so the ring's order is tested
-    cfg = _tiny_config(method=method, noise_sigma=sigma, queue_size=16)
+    cfg = _tiny_config(method=method, noise_sigma=sigma, queue_size=16,
+                       frames=320)
     ref = Trainer(cfg, 1)
     ref_rows = [ref.train_iteration() for _ in range(5)]
 
@@ -610,6 +630,7 @@ def test_trainer_resume_reproduces_next_rows(tmp_path, method, sigma):
     resumed = Trainer(cfg, 1).load(path)
     rows = [resumed.train_iteration() for _ in range(3)]
     assert _tuples(rows) == _tuples(ref_rows[2:])
+    assert _tuples(resumed.rows) == _tuples(ref_rows)
 
 
 # sha256 of the CSV each case's tiny run writes (pinned_runs.py)
@@ -647,24 +668,24 @@ def test_training_digest_is_pinned(case):
 
 # sha256 of the checkpoint each case's tiny run writes (pinned_runs.py)
 _CHECKPOINT_DIGESTS = {
-    "DEIR": "3339bdcf831294df74ad4981de99eafb9a0487cc322df4439ed03038006a7daf",
+    "DEIR": "5cf3fb35ced7b7859858dfb62e900836cc6da96c5dd241d83f9d02e355b611bd",
     "PlainNovelty":
-        "488bfc3da7bc753aa772dc642a473efaaaa7cf1199a1589be972108eb82f6880",
+        "d97f919de7c883f531685c06d5dceaf8a6e17cd23d909db6d3ac12e4ca7e8ce4",
     "ForwardError":
-        "ae962d2df6d775d8dc4526f5034a996c4ef22082a0ad6fd7ab0c5587b7dc14c9",
+        "7edd870b4d7b90161bc1b81482cd7b1fffaa9785a4c84751c4eae5a29fae3c75",
     "InverseDriven":
-        "1fdd1d3bef43c366ba20a8dfa69ed4a465c0d4e379742a53291988c722e81cef",
-    "RND": "85b4b03044c8ea1ab5c5fa494644f7fc845865bb6c1483f3489147cbf6d4090d",
+        "a14eef41383acfa96da76669475bc79792ad38ef2f9bc0a7bab41f9b44709a8d",
+    "RND": "a6b713a2a293ebf2328086b17542dfd4915d0d4557edba790f38ac4d961c4a16",
     "NoIntrinsic":
-        "111d69c1159ae65269491ded6253f955065bcfeaa1f553c80d8726b675adc6d4",
+        "7af68541efb690716fc9f65ba5a8c5bc7048e043f030b6e73f619a52d61edc00",
     "DEIR-harsh":
-        "ddf023d19af50143a5310095929c8fde23b3429b8830cbf658111e3b93acc133",
+        "d2c84d68c737e3f5e2631b55096d8b46bf5ecfe75082fc3ffb60d33f3e836f23",
     "DEIR-DoorKey8":
-        "e634865f37fba3049e6a90fcbedc5e1972cebdff3ef335b1441045129b81b522",
+        "69f030a9602c81c4a246e2a5952678169f50724bf38c3d36f638c5dcbee0f0c4",
     "DEIR-layer":
-        "b429be0467c445e61b038f0981ddcc7710803f743633ffe14eef40dc6db02b08",
+        "79b922478dd479c6a07a91c932d10446825e0aaa6f44fe814b3a1896850a8173",
     "NoIntrinsic-minibatch16":
-        "8a1135c340544cf5b4e9ed6768f0ff0e6d1b9e7df49e3adba49cf46575e0cb99",
+        "ac1643ed2890578ab32c9982612cbfec03444d8d55fc3593f9b8239650bc4b05",
 }
 
 
@@ -741,8 +762,8 @@ def test_forward_error_checkpoint_keeps_no_episodic_memory(tmp_path):
     assert _tuples(rows) == _tuples(ref_rows[1:])
 
 
-_TRAINER_KEYS = {"config", "seed", "frames", "iteration", "update_rng",
-                 "method_rng", "version"}
+_TRAINER_KEYS = {"config", "seed", "rows", "update_rng", "method_rng",
+                 "version"}
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -776,7 +797,7 @@ def _saved_state(tmp_path):
 
 @pytest.mark.parametrize("entry", ["collector.rng", "env.agents",
                                    "tracker.lifetime", "adv_norm.std",
-                                   "update_rng", "config", "seed"])
+                                   "update_rng", "config", "seed", "rows"])
 def test_trainer_load_rejects_missing_header_entry(tmp_path, entry):
     path, state = _saved_state(tmp_path)
     del state[entry]
@@ -823,6 +844,42 @@ def test_trainer_load_rejects_a_transposed_weight(tmp_path):
     save_checkpoint(path, state)
     with pytest.raises(CheckpointError, match="malformed .*saved shape"):
         Trainer(_tiny_config(), 1).load(path)
+
+
+def test_trainer_load_rejects_malformed_metric_rows(tmp_path):
+    # a row one value short would otherwise load, the last diagnostic
+    # taking its default
+    path, state = _saved_state(tmp_path)
+    row = state["rows"][0]
+    for rows in ([row[:-1]], [row[1:]], [row + [0]], [None], None):
+        state["rows"] = rows
+        save_checkpoint(path, state)
+        with pytest.raises(CheckpointError, match="malformed"):
+            Trainer(_tiny_config(), 1).load(path)
+        with pytest.raises(CheckpointError, match="malformed"):
+            Trainer.from_checkpoint(path)
+
+
+def test_trainer_load_refuses_a_checkpoint_past_run_frames(tmp_path):
+    cfg = _tiny_config(frames=128)
+    t = Trainer(cfg, 1)
+    for _ in range(2):
+        t.train_iteration()
+    path = str(tmp_path / "run.ckpt")
+    t.save(path)
+    assert Trainer(cfg, 1).load(path).frames == 128
+    with pytest.raises(CheckpointError,
+                       match=r"holds 128 frames, past run\.frames = 64$"):
+        Trainer(dataclasses.replace(cfg, frames=64), 1).load(path)
+
+
+def test_load_checkpoint_refuses_a_path_it_cannot_read(tmp_path):
+    with pytest.raises(CheckpointError,
+                       match="cannot read checkpoint: No such file"):
+        load_checkpoint(str(tmp_path / "missing.ckpt"))
+    with pytest.raises(CheckpointError,
+                       match="cannot read checkpoint: Is a directory"):
+        load_checkpoint(str(tmp_path))
 
 
 def test_from_checkpoint_rejects_a_config_line_without_separator(tmp_path):

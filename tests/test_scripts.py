@@ -33,51 +33,76 @@ def _run(script, *args):
                           capture_output=True, text=True, timeout=300)
 
 
-def _csv_lines(out_dir):
-    with open(os.path.join(out_dir, "seed1.csv")) as fh:
-        return fh.read().splitlines()
-
-
 def _train(out, frames, *args, seeds=1):
     res = _run("train.py", "--quiet", *args, *TINY, f"run.seeds={seeds}",
                f"run.frames={frames}", f"run.out={out}")
     assert res.returncode == 0, res.stderr
 
 
+def _files(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
 def test_train_resume_ends_with_the_straight_run_rows(tmp_path):
-    straight, part = tmp_path / "straight", tmp_path / "part"
-    for out, frames, resume in ((straight, 192, ()), (part, 64, ()),
-                                (part, 192, ("--resume",
-                                             part / "seed1.ckpt"))):
-        _train(out, frames, *resume)
-    full, resumed = _csv_lines(straight), _csv_lines(part)
-    # header and the two rows trained after the 64-frame checkpoint
-    assert len(full) == 4 and len(resumed) == 3
-    assert resumed == full[:1] + full[2:]
+    # a run stopped at 64 frames, one seed's checkpoint lost, and resumed
+    # to 192 writes the straight run's CSVs and checkpoints, byte for byte
+    out = tmp_path / "run"
+    _train(out, 192, seeds="1,2")
+    straight = _files(out)
+    assert sorted(straight) == ["aggregate.csv", "seed1.ckpt", "seed1.csv",
+                                "seed2.ckpt", "seed2.csv"]
+    assert len(straight["seed1.csv"].splitlines()) == 4  # header, 3 rows
+    for path in out.iterdir():
+        path.unlink()
+    _train(out, 64, seeds="1,2")
+    (out / "seed2.ckpt").unlink()
+    _train(out, 192, "--resume", seeds="1,2")
+    assert _files(out) == straight
 
 
-def test_train_resumes_one_seed_of_a_multi_seed_run(tmp_path):
-    straight, part = tmp_path / "straight", tmp_path / "part"
-    _train(straight, 192)
-    _train(part, 64, seeds="1,2")
-    _train(part, 192, "--resume", part / "seed1.ckpt")
-    full, resumed = _csv_lines(straight), _csv_lines(part)
-    assert len(full) == 4 and resumed == full[:1] + full[2:]
-
-
-def test_train_resume_needs_one_seed_and_a_matching_config(tmp_path):
+def test_train_resume_needs_a_matching_config(tmp_path):
     part = tmp_path / "part"
     _train(part, 64)
-    ckpt = part / "seed1.ckpt"
-    res = _run("train.py", "--resume", ckpt, *TINY, "run.seeds=1,2",
-               f"run.out={part}")
-    assert res.returncode == 2
-    assert "resuming needs run.seeds to name one seed" in res.stderr
-    res = _run("train.py", "--resume", ckpt, *TINY, "run.seeds=1",
+    res = _run("train.py", "--resume", *TINY, "run.seeds=1",
                "env.task=DoorKey8", f"run.out={part}")
     assert res.returncode == 1
-    assert res.stderr.strip() == (f"{ckpt}: checkpoint config differs from "
-                                  "current in env.task")
+    assert res.stderr.strip() == (f"{part / 'seed1.ckpt'}: checkpoint config "
+                                  "differs from current in env.task")
+
+
+def test_train_resume_refuses_a_checkpoint_past_run_frames(tmp_path):
+    part = tmp_path / "part"
+    _train(part, 128)
+    res = _run("train.py", "--resume", *TINY, "run.seeds=1",
+               "run.frames=64", f"run.out={part}")
+    assert res.returncode == 1
+    assert res.stderr.strip() == (f"{part / 'seed1.ckpt'}: checkpoint holds "
+                                  "128 frames, past run.frames = 64")
+
+
+def test_train_and_probe_name_a_checkpoint_they_cannot_read(tmp_path):
+    missing = tmp_path / "missing.ckpt"
+    res = _run("probe.py", "--checkpoint", missing)
+    assert res.returncode == 1
+    assert res.stderr.strip() == (f"{missing}: cannot read checkpoint: "
+                                  "No such file or directory")
+    (tmp_path / "seed1.ckpt").mkdir()
+    res = _run("train.py", "--resume", *TINY, "run.seeds=1",
+               f"run.out={tmp_path}")
+    assert res.returncode == 1
+    assert res.stderr.strip() == (f"{tmp_path / 'seed1.ckpt'}: cannot read "
+                                  "checkpoint: Is a directory")
+
+
+def test_aggregate_refuses_seeds_of_other_frames_in_one_line(tmp_path):
+    a, b = tmp_path / "seed1.csv", tmp_path / "seed2.csv"
+    a.write_text("frames,mean_return\n64,0.5\n128,0.5\n")
+    b.write_text("frames,mean_return\n64,0.5\n192,0.5\n")
+    res = _run("aggregate.py", "--out", tmp_path / "agg.csv", a, b)
+    assert res.returncode == 1
+    assert res.stderr.strip() == (f"aggregate: {b}: frames column differs "
+                                  f"from {a}")
+    assert not (tmp_path / "agg.csv").exists()
 
 
 def test_shipped_configs_load():
@@ -102,7 +127,7 @@ def test_readme_train_commands_use_listed_flags_and_known_keys():
     assert res.returncode == 0, res.stderr
     # flag -> its metavar, empty for a switch
     flags = dict(re.findall(r"\[(--[\w-]+) ?([A-Z]*)\]", res.stdout))
-    assert {"--config", "--resume", "--quiet"} <= set(flags)
+    assert set(flags) == {"--config", "--resume", "--quiet"}
     commands = _readme_train_commands()
     assert commands
     for args in commands:
