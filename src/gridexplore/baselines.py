@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import CnnEncoder, EmbeddingModel, Mlp, Module, Tensor, concat
+from .nn import (CnnEncoder, EmbeddingModel, Mlp, Module, Tensor, concat,
+                 no_grad)
 
 
 class ForwardModel(EmbeddingModel):
@@ -32,7 +33,8 @@ class ForwardModel(EmbeddingModel):
     def loss(self, batch) -> Tensor:
         e_t = self.encoder(Tensor(batch["obs_t"]))
         pred = self.predict(e_t, Tensor(batch["action"]))
-        target = self.encoder(Tensor(batch["obs_next"])).detach()
+        with no_grad():  # in train mode: the running stats still update
+            target = self.encoder(Tensor(batch["obs_next"]))
         diff = pred - target
         return (diff * diff).sum() * (1.0 / pred.data.shape[0])
 
@@ -78,6 +80,7 @@ class RndModel(Module):
 
     def loss(self, batch) -> Tensor:
         pred = self.predictor(Tensor(batch["obs_next"]))
-        targ = self.target(Tensor(batch["obs_next"])).detach()
+        with no_grad():
+            targ = self.target(Tensor(batch["obs_next"]))
         diff = pred - targ
         return (diff * diff).sum() * (1.0 / pred.data.shape[0])

@@ -31,11 +31,17 @@ def write_csv(path, rows):
 
 
 def _read_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    return header, rows
+    """(header, float rows) of a seed CSV; OutputError if it is missing,
+    unreadable or empty."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(csv.reader(fh))
+    except OSError as exc:
+        raise OutputError(f"cannot read {path}: {exc.strerror}") from exc
+    if not lines:
+        raise OutputError(f"{path}: empty, no header row")
+    header, *rows = lines
+    return header, [[float(v) for v in row] for row in rows]
 
 
 def aggregate_csv(out_path, seed_paths):

@@ -3,6 +3,7 @@ normalizers, metrics, CSV output, and exact-resume checkpoints."""
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import os
 import time
 from dataclasses import astuple
@@ -30,6 +31,26 @@ from .outputs import aggregate_csv, write_csv
 
 def _rng(seed, stream):
     return np.random.default_rng(np.random.SeedSequence([seed, stream]))
+
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's malloc.h
+
+
+def _keep_heap():
+    """Keep freed memory in the heap for the next minibatch's graph.
+
+    At glibc's starting thresholds (128 KiB) each freed graph's arrays
+    go back to the system, by a heap trim or an munmap, and their pages
+    are faulted in again by the next graph. 8 MiB and 16 MiB are about
+    the thresholds glibc's own rule reaches once an 8 MB array has been
+    freed. A no-op without glibc."""
+    if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", ()):
+        return  # not glibc
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 8 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
 
 
 @contextlib.contextmanager
@@ -122,6 +143,7 @@ class Trainer:
         return row
 
     def run(self, csv_path=None, checkpoint_path=None, progress=False):
+        _keep_heap()
         cfg = self.config
         per_iter = cfg.rollout_steps * cfg.workers
         start = time.monotonic()

@@ -115,7 +115,9 @@ class Conv2d(Module):
 
 
 class _Norm(Module):
-    """Learned per-feature scale `gamma` and shift `beta`."""
+    """Learned per-feature scale `gamma` and shift `beta`. Called with
+    `relu=True`, a norm returns relu of its output as one op (see
+    `normalize`)."""
 
     eps = EPS_NORM
 
@@ -138,15 +140,17 @@ class BatchNorm(_Norm):
     def _buffers(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, relu=False) -> Tensor:
         axes = tuple(range(x.data.ndim - 1))
         if not self.training:
             stats = (self.running_mean.astype(x.dtype, copy=False),
                      self.running_var.astype(x.dtype, copy=False))
-            return normalize(x, self.gamma, self.beta, axes, self.eps, stats)[0]
+            return normalize(x, self.gamma, self.beta, axes, self.eps, stats,
+                             relu)[0]
         if x.size // x.shape[-1] < 2:
             raise GraphError("batch norm needs at least 2 samples in training")
-        y, mean, var = normalize(x, self.gamma, self.beta, axes, self.eps)
+        y, mean, var = normalize(x, self.gamma, self.beta, axes, self.eps,
+                                 relu=relu)
         m = self.momentum
         self.running_mean = m * self.running_mean + (1 - m) * mean.reshape(-1)
         self.running_var = m * self.running_var + (1 - m) * var.reshape(-1)
@@ -154,15 +158,17 @@ class BatchNorm(_Norm):
 
 
 class LayerNorm(_Norm):
-    def __call__(self, x: Tensor) -> Tensor:
-        return normalize(x, self.gamma, self.beta, (-1,), self.eps)[0]
+    def __call__(self, x: Tensor, relu=False) -> Tensor:
+        return normalize(x, self.gamma, self.beta, (-1,), self.eps,
+                         relu=relu)[0]
 
 
 class Identity(Module):
-    """The `none` normalization: no parameters, returns its input."""
+    """The `none` normalization: no parameters, returns its input (or
+    its relu)."""
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return x
+    def __call__(self, x: Tensor, relu=False) -> Tensor:
+        return x.relu() if relu else x
 
 
 def make_norm(mode: str, num_features):
@@ -230,7 +236,7 @@ class Mlp(Module):
         for i in range(self.n_layers):
             x = getattr(self, f"fc{i}")(x)
             if i < self.n_layers - 1:
-                x = getattr(self, f"norm{i}")(x).relu()
+                x = getattr(self, f"norm{i}")(x, relu=True)
         return x
 
 
@@ -261,9 +267,10 @@ class CnnEncoder(Module):
     def __call__(self, x: Tensor) -> Tensor:
         x = self.in_norm(x)
         for i in range(3):
-            x = getattr(self, f"norm{i}")(getattr(self, f"conv{i}")(x)).relu()
+            x = getattr(self, f"norm{i}")(getattr(self, f"conv{i}")(x),
+                                          relu=True)
         x = x.reshape(x.shape[0], self.flat_dim)
-        return self.fc_norm(self.fc(x)).relu()
+        return self.fc_norm(self.fc(x), relu=True)
 
 
 class EmbeddingModel(Module):

@@ -379,9 +379,6 @@ class Tensor:
                 node.grad = node._backward = None
                 node._prev = ()
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     tensors = list(tensors)
@@ -436,14 +433,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, k: int) -> Tensor:
 
 
 def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float,
-              stats=None):
+              stats=None, relu=False):
     """gamma * (x - mean) / sqrt(var + eps) + beta as one op; gamma and
-    beta scale and shift the last axis.
+    beta scale and shift the last axis. With `relu` the op returns
+    relu of that, rectified in place, and its backward masks the output
+    gradient before the normalize backward.
 
     `stats` = (mean, var) are constants (eval-mode batch norm), folded
     into one scale and shift per feature. Without them mean and var are
     the biased moments of x over `axes`, and the gradient flows through
     them too. Returns the output and the (mean, var) it used.
+
+    Without `stats` and with `relu`, a non-leaf x is taken to be the
+    fresh output of the conv2d or Dense op just before this one, which
+    nothing else reads: it is centered and scaled in place and kept as
+    the backward's xhat. A leaf, such as a caller's observations, and
+    any x without `relu` are only read.
 
     Per-feature operands are spread over whole sample rows
     (`_per_sample`). The in-place updates keep the evaluation order of
@@ -455,6 +460,18 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float,
     def spread(v):
         return _per_sample(v, shape)
 
+    def output(out_data, backward):
+        """The op's Tensor; with `relu` the output is rectified in place
+        and `backward` gets the output gradient masked by it."""
+        mask = None
+        if relu:
+            if Tensor._grad_enabled:
+                mask = out_data > 0
+            # +0.0 wherever the output is <= 0, as `Tensor.relu` gives
+            np.maximum(out_data, 0, out=out_data)
+        return x._make(out_data, (x, gamma, beta), lambda out: backward(
+            out.grad if mask is None else mask * out.grad))
+
     if stats is not None:
         mean, var = stats
         inv = 1.0 / np.sqrt(var + eps)
@@ -462,15 +479,14 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float,
         out_data = x.data * spread(scale)
         out_data += spread(beta.data - mean * scale)
 
-        def backward(out):
-            g = out.grad
+        def backward(g):
             xhat = x.data - spread(mean)
             xhat *= spread(inv)
             gamma._accum(_colsum(g * xhat))
             beta._accum(_colsum(g))
             x._accum(g * spread(scale))
 
-        return x._make(out_data, (x, gamma, beta), backward), mean, var
+        return output(out_data, backward), mean, var
     n = x.data.size // shape[-1]
     if tuple(axes) == tuple(range(x.data.ndim - 1)):
         # batch norm: per-feature moments, each a BLAS column sum
@@ -486,15 +502,18 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float,
             return v
 
     mean = mean_of(x.data)
-    xhat = x.data - stat(mean)  # centered here, scaled in place below
+    if relu and x._backward is not None:
+        xhat = x.data  # the fresh op output, centered in place
+        xhat -= stat(mean)
+    else:
+        xhat = x.data - stat(mean)  # centered here, scaled in place below
     var = mean_of(xhat * xhat)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= stat(inv)
     out_data = xhat * spread(gamma.data)
     out_data += spread(beta.data)
 
-    def backward(out):
-        g = out.grad
+    def backward(g):
         gamma._accum(_colsum(g * xhat))
         beta._accum(_colsum(g))
         d = g * spread(gamma.data)
@@ -504,7 +523,7 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float,
         d *= stat(inv)
         x._accum(d)
 
-    return x._make(out_data, (x, gamma, beta), backward), mean, var
+    return output(out_data, backward), mean, var
 
 
 def gru_cell(x: Tensor, h: Tensor, w: Tensor, u: Tensor, un: Tensor,

@@ -6,8 +6,11 @@ import inspect
 import json
 import math
 import os
+import platform
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -1003,6 +1006,51 @@ def test_more_model_epochs_keep_no_more_memory():
     many = _iteration_peak_bytes(_tiny_config(model_epochs=4))
     one = _iteration_peak_bytes(_tiny_config(model_epochs=1))
     assert many <= 1.05 * one, (many, one)
+
+
+# the benchmark's workload configs (perfbench/workloads.py): desk widths,
+# 16 workers, 32-step rollouts
+_DESK = dict(embed_dim=16, hidden=32, channels=(8, 16, 16), workers=16,
+             rollout_steps=32, task="MultiRoomN2S4")
+
+
+# traced peaks 14.4 and 22.3 MiB; 28.0 and 28.8 MiB while each hidden
+# layer kept its pre-norm, normalized and rectified arrays and the
+# ForwardError target pass built a graph
+@pytest.mark.parametrize("method, noise, bound_mib", [
+    ("ForwardError", 0.1, 16.0), ("DEIR", 0.0, 25.0)])
+def test_desk_iteration_peak_is_pinned(method, noise, bound_mib):
+    cfg = ExperimentConfig(method=method, noise_sigma=noise, **_DESK)
+    assert _iteration_peak_bytes(cfg) / 2**20 < bound_mib
+
+
+_FAULTS_SCRIPT = """
+import dataclasses, resource
+from gridexplore.harness import ExperimentConfig, Trainer
+cfg = ExperimentConfig(method="ForwardError", noise_sigma=0.1, frames=1024,
+                       **{desk!r})
+trainer = Trainer(cfg, 0)
+trainer.run()  # two warm-up iterations
+trainer.config = dataclasses.replace(cfg, frames=3072)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+trainer.run()  # four more
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 4)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is glibc's mallopt")
+def test_trainer_run_keeps_its_heap():
+    # at glibc's default thresholds each freed minibatch graph is handed
+    # back to the system and faulted in again: ~13k minor faults per
+    # iteration here, against a few dozen with the heap kept
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    res = subprocess.run([sys.executable, "-c",
+                          _FAULTS_SCRIPT.format(desk=_DESK)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert float(res.stdout) < 1000
 
 
 def test_run_experiment_emits_csvs(tmp_path):

@@ -375,6 +375,50 @@ def test_inverse_model_loss_decreases():
     assert losses[-1] < losses[0]
 
 
+def _graph_nodes_made(monkeypatch):
+    """Every node that records a backward from now on, in a list."""
+    made = []
+    make = Tensor._make
+
+    def recording(self, data, prev, backward):
+        out = make(self, data, prev, backward)
+        if out._backward is not None:
+            made.append(out)
+        return out
+
+    monkeypatch.setattr(Tensor, "_make", recording)
+    return made
+
+
+def _reachable(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._prev)
+    return seen
+
+
+@pytest.mark.parametrize("model_cls", [ForwardModel, RndModel])
+def test_target_pass_builds_no_graph(model_cls, monkeypatch):
+    # the target encoder runs under no_grad: every node the loss records
+    # is one its backward replays
+    rng = np.random.default_rng(11)
+    if model_cls is ForwardModel:
+        model = ForwardModel(3, 7, rng, embed_dim=8, hidden=16,
+                             channels=(4, 8, 8))
+    else:
+        model = RndModel(3, rng, embed_dim=8, channels=(4, 8, 8))
+    model.train()
+    batch = {"obs_t": _toy_obs(rng, 8), "obs_next": _toy_obs(rng, 8),
+             "action": np.eye(7, dtype=np.float32)[rng.integers(7, size=8)]}
+    made = _graph_nodes_made(monkeypatch)
+    loss = model.loss(batch)
+    assert made
+    assert {id(node) for node in made} <= _reachable(loss)
+
+
 def test_rnd_error_shrinks_on_repeated_observation():
     rng = np.random.default_rng(10)
     model = RndModel(3, rng, embed_dim=8, channels=(4, 8, 8))

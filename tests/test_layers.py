@@ -615,3 +615,77 @@ def test_conv_window_view_is_bit_equal_on_a_non_contiguous_input(view):
     g = rng.standard_normal(out.shape).astype(np.float32)
     out.backward(g)
     assert _bits(wt.grad) == _bits(cols.T @ g.reshape(-1, 8))
+
+
+# ---------------------------------------------------------------------------
+# a norm's `relu=True` against the norm followed by `.relu()`, byte for
+# byte; its input is a fresh op output, which the fused op centers in place
+
+
+def _norm_pair(mode, c, rng):
+    """Two equal norm modules of `mode` with random gamma, beta and, in
+    eval mode, random running stats."""
+    mods = [LayerNorm(c) if mode == "layer" else BatchNorm(c)
+            for _ in range(2)]
+    gamma, beta, mean = (rng.standard_normal(c).astype(np.float32)
+                         for _ in range(3))
+    var = rng.uniform(0.5, 2.0, c).astype(np.float32)
+    for m in mods:
+        m.gamma.data, m.beta.data = gamma.copy(), beta.copy()
+        if mode == "eval":
+            m.running_mean, m.running_var = mean.copy(), var.copy()
+            m.eval()
+    return mods
+
+
+@pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["train", "eval", "layer"])
+@pytest.mark.parametrize("shape", _NORM_SHAPES)
+def test_norm_relu_is_bit_equal_to_norm_then_relu(shape, mode, grad_dtype):
+    rng = np.random.default_rng(sum(shape) + 3 * len(mode))
+    data = (rng.standard_normal(shape) * 3.0 + 1.0).astype(np.float32)
+    g = rng.standard_normal(shape).astype(grad_dtype)
+    fused, plain = _norm_pair(mode, shape[-1], rng)
+    got, want = [], []
+    for norm, relu, results in ((fused, True, got), (plain, False, want)):
+        x = Tensor(data.copy())
+        fresh = x * 1.0  # a non-leaf op output, as a conv or Dense gives
+        out = norm(fresh, relu=True) if relu else norm(fresh).relu()
+        out.backward(g)
+        results += [out.data, x.grad, norm.gamma.grad, norm.beta.grad]
+        if isinstance(norm, BatchNorm):
+            results += [norm.running_mean, norm.running_var]
+    for a, b in zip(got, want, strict=True):
+        assert _bits(a) == _bits(b)
+
+
+def test_norm_relu_centers_a_fresh_op_output_in_place():
+    rng = np.random.default_rng(0)
+    fresh = Tensor(rng.standard_normal((64, 5, 5, 8)).astype(np.float32)
+                   + 4.0) * 1.0
+    held = fresh.data
+    BatchNorm(8)(fresh, relu=True)
+    assert fresh.data is held  # now the op's xhat
+    assert np.abs(_colsum(held) / (64 * 25)).max() < 1e-5
+
+
+@pytest.mark.parametrize("norm", [BatchNorm(8), LayerNorm(8)])
+def test_norm_reads_a_leaf_and_a_held_tensor_only(norm):
+    rng = np.random.default_rng(1)
+    data = rng.standard_normal((64, 5, 5, 8)).astype(np.float32) + 4.0
+    leaf = Tensor(data.copy())
+    norm(leaf, relu=True).sum().backward()
+    assert _bits(leaf.data) == _bits(data)
+    # a non-leaf without relu, as `in_norm` gets the caller's observations
+    held = Tensor(data.copy()) * 1.0
+    norm(held).sum().backward()
+    assert _bits(held.data) == _bits(data)
+
+
+def test_encoder_leaves_its_observations_unchanged():
+    rng = np.random.default_rng(2)
+    enc = CnnEncoder(7, 16, rng, channels=(8, 16, 16))
+    obs = rng.uniform(0.0, 1.0, (64, 7, 7, 3)).astype(np.float32)
+    x = Tensor(obs.copy())
+    enc(x).sum().backward()
+    assert _bits(x.data) == _bits(obs)

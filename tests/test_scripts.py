@@ -105,6 +105,26 @@ def test_aggregate_refuses_seeds_of_other_frames_in_one_line(tmp_path):
     assert not (tmp_path / "agg.csv").exists()
 
 
+def test_aggregate_refuses_a_missing_seed_csv_in_one_line(tmp_path):
+    a, missing = tmp_path / "seed1.csv", tmp_path / "seed2.csv"
+    a.write_text("frames,mean_return\n64,0.5\n")
+    res = _run("aggregate.py", "--out", tmp_path / "agg.csv", a, missing)
+    assert res.returncode == 1
+    assert res.stderr.strip() == (f"aggregate: cannot read {missing}: "
+                                  "No such file or directory")
+    assert not (tmp_path / "agg.csv").exists()
+
+
+def test_aggregate_refuses_an_empty_seed_csv_in_one_line(tmp_path):
+    a, empty = tmp_path / "seed1.csv", tmp_path / "seed2.csv"
+    a.write_text("frames,mean_return\n64,0.5\n")
+    empty.write_text("")
+    res = _run("aggregate.py", "--out", tmp_path / "agg.csv", a, empty)
+    assert res.returncode == 1
+    assert res.stderr.strip() == f"aggregate: {empty}: empty, no header row"
+    assert not (tmp_path / "agg.csv").exists()
+
+
 def test_shipped_configs_load():
     paths = glob.glob(os.path.join(ROOT, "configs", "*.cfg"))
     assert paths
