@@ -663,10 +663,10 @@ def test_norm_relu_centers_a_fresh_op_output_in_place():
     rng = np.random.default_rng(0)
     fresh = Tensor(rng.standard_normal((64, 5, 5, 8)).astype(np.float32)
                    + 4.0) * 1.0
-    held = fresh.data
+    data = fresh.data
     BatchNorm(8)(fresh, relu=True)
-    assert fresh.data is held  # now the op's xhat
-    assert np.abs(_colsum(held) / (64 * 25)).max() < 1e-5
+    assert fresh.data is data  # now the op's xhat
+    assert np.abs(_colsum(data) / (64 * 25)).max() < 1e-5
 
 
 @pytest.mark.parametrize("norm", [BatchNorm(8), LayerNorm(8)])
@@ -676,16 +676,8 @@ def test_norm_reads_a_leaf_and_a_held_tensor_only(norm):
     leaf = Tensor(data.copy())
     norm(leaf, relu=True).sum().backward()
     assert _bits(leaf.data) == _bits(data)
-    # a non-leaf without relu, as `in_norm` gets the caller's observations
+    # a non-leaf the caller holds, passed without relu
     held = Tensor(data.copy()) * 1.0
     norm(held).sum().backward()
     assert _bits(held.data) == _bits(data)
 
-
-def test_encoder_leaves_its_observations_unchanged():
-    rng = np.random.default_rng(2)
-    enc = CnnEncoder(7, 16, rng, channels=(8, 16, 16))
-    obs = rng.uniform(0.0, 1.0, (64, 7, 7, 3)).astype(np.float32)
-    x = Tensor(obs.copy())
-    enc(x).sum().backward()
-    assert _bits(x.data) == _bits(obs)
