@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Aggregate per-seed metric CSVs into mean ± standard error per column.
 
-The seed CSVs must share their header and `frames` column.
+The seed CSVs must share their header and `frames` column, and each row
+must hold one number per header column.
 
 Usage:
     python3 scripts/aggregate.py --out aggregate.csv seed0.csv seed1.csv ...

@@ -22,6 +22,12 @@ from .nn import (CnnEncoder, EmbeddingModel, Mlp, Module, Tensor, concat,
                  no_grad)
 
 
+def _squared_gap(pred: Tensor, target: Tensor) -> Tensor:
+    """Each row's squared distance from target, averaged over the batch."""
+    diff = pred - target
+    return (diff * diff).sum() * (1.0 / pred.data.shape[0])
+
+
 class ForwardModel(EmbeddingModel):
     def _heads(self, hidden, rng, norm):
         self.head = Mlp([self.embed_dim + self.n_actions, hidden,
@@ -35,8 +41,7 @@ class ForwardModel(EmbeddingModel):
         pred = self.predict(e_t, Tensor(batch["action"]))
         with no_grad():  # in train mode: the running stats still update
             target = self.encoder(Tensor(batch["obs_next"]))
-        diff = pred - target
-        return (diff * diff).sum() * (1.0 / pred.data.shape[0])
+        return _squared_gap(pred, target)
 
 
 def forward_error(model: ForwardModel, e_obs_t, action_onehot, e_obs_next):
@@ -64,7 +69,7 @@ class InverseModel(EmbeddingModel):
 class RndModel(Module):
     """Predictor network distilling a frozen, randomly initialized target."""
 
-    def __init__(self, view_size, rng, embed_dim=64, channels=(32, 64, 64)):
+    def __init__(self, view_size, rng, embed_dim, channels):
         super().__init__()
         self.embed_dim = embed_dim
         # separate draws so predictor and target start apart
@@ -82,5 +87,4 @@ class RndModel(Module):
         pred = self.predictor(Tensor(batch["obs_next"]))
         with no_grad():
             targ = self.target(Tensor(batch["obs_next"]))
-        diff = pred - targ
-        return (diff * diff).sum() * (1.0 / pred.data.shape[0])
+        return _squared_gap(pred, targ)

@@ -122,13 +122,6 @@ class GridWorld:
             return True
         return o == Obj.DOOR and int(self.state[x, y]) == DoorState.OPEN
 
-    def copy(self) -> "GridWorld":
-        return GridWorld(
-            self.width, self.height, self.obj.copy(), self.color.copy(),
-            self.state.copy(), self.agent_pos, self.agent_dir, self.max_steps,
-            self.carried, self.step_count, self.done,
-        )
-
 
 # share of the goal reward an episode loses by using all its steps
 TIME_PENALTY_COEF = 0.9

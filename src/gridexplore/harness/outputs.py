@@ -32,7 +32,8 @@ def write_csv(path, rows):
 
 def _read_csv(path):
     """(header, float rows) of a seed CSV; OutputError if it is missing,
-    unreadable or empty."""
+    unreadable or empty, or naming the line of a row whose width differs
+    from the header's or that holds a non-numeric cell."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             lines = list(csv.reader(fh))
@@ -41,7 +42,16 @@ def _read_csv(path):
     if not lines:
         raise OutputError(f"{path}: empty, no header row")
     header, *rows = lines
-    return header, [[float(v) for v in row] for row in rows]
+    table = []
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise OutputError(f"{path}, line {line}: row width {len(row)}, "
+                              f"header width {len(header)}")
+        try:
+            table.append([float(v) for v in row])
+        except ValueError as exc:
+            raise OutputError(f"{path}, line {line}: {exc}") from exc
+    return header, table
 
 
 def aggregate_csv(out_path, seed_paths):

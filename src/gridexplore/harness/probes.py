@@ -108,7 +108,7 @@ def embed_dataset(model, data):
             h = Tensor(np.zeros((1, model.embed_dim), np.float32))
             for t in range(obs_seq.shape[0]):
                 _, h = model.embed(Tensor(obs_seq[t][None]), h)
-                xs.append(h.data[0].astype(np.float32))
+                xs.append(h.data[0])
             ys.append(labels)
     return np.stack(xs), np.concatenate(ys)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .envs import normalize_obs
-from .nn import EmbeddingModel, Mlp, Tensor, concat
+from .nn import EmbeddingModel, Mlp, Tensor, concat, restored
 
 EPSILON = 1e-6
 
@@ -29,9 +29,6 @@ class EpisodicMemory:
         self._traj = np.empty((capacity, dim_traj), dtype=np.float32)
         self.count = 0
 
-    def __len__(self):
-        return self.count
-
     @property
     def obs(self):
         return self._obs[: self.count]
@@ -40,15 +37,30 @@ class EpisodicMemory:
     def traj(self):
         return self._traj[: self.count]
 
-    def append(self, e_obs, e_traj):
-        if self.count >= self._obs.shape[0]:
+    def end_step(self, e_obs, e_traj, terminal):
+        """Clear the memory after a terminal step; otherwise append the
+        (e_obs, e_traj) pair."""
+        if terminal:
+            self.count = 0
+        elif self.count >= self._obs.shape[0]:
             raise ValueError("episodic memory capacity exceeded")
-        self._obs[self.count] = e_obs
-        self._traj[self.count] = e_traj
-        self.count += 1
+        else:
+            self._obs[self.count] = e_obs
+            self._traj[self.count] = e_traj
+            self.count += 1
 
-    def clear(self):
-        self.count = 0
+    def state_arrays(self, prefix=""):
+        return {f"{prefix}obs": self.obs, f"{prefix}traj": self.traj}
+
+    def load_state(self, arrays, prefix=""):
+        obs, traj = arrays[f"{prefix}obs"], arrays[f"{prefix}traj"]
+        n, capacity = len(obs), self._obs.shape[0]
+        if len(traj) != n or n > capacity:
+            raise ValueError(f"{prefix}obs and {prefix}traj hold {n} and "
+                             f"{len(traj)} rows, for a capacity of {capacity}")
+        self._obs[:n] = restored(obs, self._obs[:n])
+        self._traj[:n] = restored(traj, self._traj[:n])
+        self.count = n
 
 
 def intrinsic_reward(
@@ -61,8 +73,7 @@ def intrinsic_reward(
     """Novelty bonus for the transition ending in e_obs_next.
 
     Empty memory gives 0, so the first step of every episode earns
-    nothing. Afterwards the query pair is appended to the memory, or the
-    memory is cleared when the transition was terminal.
+    nothing. Afterwards the memory ends the step (`end_step`).
     """
     if memory.count == 0:
         r = 0.0
@@ -70,10 +81,7 @@ def intrinsic_reward(
         d_obs = ((memory.obs - e_obs_next) ** 2).sum(axis=1)
         d_traj = np.sqrt(((memory.traj - e_traj_t) ** 2).sum(axis=1))
         r = float((d_obs / (d_traj + epsilon)).min())
-    if terminal:
-        memory.clear()
-    else:
-        memory.append(e_obs_next, e_traj_t)
+    memory.end_step(e_obs_next, e_traj_t, terminal)
     return r
 
 
@@ -83,10 +91,7 @@ def novelty_reward(e_obs_next, memory: EpisodicMemory, terminal: bool) -> float:
         r = 0.0
     else:
         r = float(((memory.obs - e_obs_next) ** 2).sum(axis=1).min())
-    if terminal:
-        memory.clear()
-    else:
-        memory.append(e_obs_next, np.zeros_like(memory._traj[0]))
+    memory.end_step(e_obs_next, 0.0, terminal)  # a zero trajectory row
     return r
 
 
@@ -110,8 +115,7 @@ class ObservationQueue:
     since its reader last set it to 0; it is not saved.
     """
 
-    def __init__(self, max_size: int = 100_000, smoothing: float = 0.9,
-                 keep_net: bool = True):
+    def __init__(self, max_size: int, smoothing: float, keep_net=True):
         self.max_size = max_size
         self.smoothing = smoothing
         self.keep_net = keep_net

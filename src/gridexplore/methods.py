@@ -142,14 +142,14 @@ class _RecurrentMethod(_ModelMethod):
     def _embed(self, obs, h):
         with no_grad():
             e_obs, e_traj = self.model.embed(Tensor(obs), Tensor(h))
-        return e_obs.data.astype(np.float32), e_traj.data.astype(np.float32)
+        return e_obs.data, e_traj.data
 
     def start(self, obs):
         self._h_before[:] = 0.0
         self.e_cur, self.h = self._embed(obs, np.zeros_like(self.h))
 
     def h_prev(self):
-        return self._h_before.copy()
+        return self._h_before
 
     def on_reset(self, w, net_obs):
         self._h_before[w] = 0.0
@@ -173,8 +173,7 @@ class _RecurrentMethod(_ModelMethod):
         out = {f"{prefix}h": self.h, f"{prefix}h_before": self._h_before,
                f"{prefix}e_cur": self.e_cur}
         for w, mem in enumerate(self.memories):
-            out[f"{prefix}mem{w}_obs"] = mem.obs.copy()
-            out[f"{prefix}mem{w}_traj"] = mem.traj.copy()
+            out.update(mem.state_arrays(f"{prefix}mem{w}_"))
         return out
 
     def load_state(self, arrays, prefix=""):
@@ -182,10 +181,7 @@ class _RecurrentMethod(_ModelMethod):
         self._h_before = restored(arrays[f"{prefix}h_before"], self._h_before)
         self.e_cur = restored(arrays[f"{prefix}e_cur"], self.e_cur)
         for w, mem in enumerate(self.memories):
-            mem.clear()
-            for e_obs, e_traj in zip(arrays[f"{prefix}mem{w}_obs"],
-                                     arrays[f"{prefix}mem{w}_traj"]):
-                mem.append(e_obs, e_traj)
+            mem.load_state(arrays, f"{prefix}mem{w}_")
 
 
 class _QueueMethod(_RecurrentMethod):

@@ -248,8 +248,7 @@ class CnnEncoder(Module):
     spatial extent survives three kernel shrinks.
     """
 
-    def __init__(self, view_size, embed_dim, rng, norm="batch",
-                 channels=(32, 64, 64)):
+    def __init__(self, view_size, embed_dim, rng, norm, channels):
         super().__init__()
         pad = 1 if view_size == 3 else 0
         self.in_norm = make_norm(norm, 3)
@@ -281,8 +280,8 @@ class EmbeddingModel(Module):
     subclass draws its initial weights from `rng` in that order.
     """
 
-    def __init__(self, view_size, n_actions, rng, embed_dim=64, hidden=128,
-                 channels=(32, 64, 64), norm="batch"):
+    def __init__(self, view_size, n_actions, rng, embed_dim, hidden,
+                 channels, norm):
         super().__init__()
         self.n_actions = n_actions
         self.embed_dim = embed_dim

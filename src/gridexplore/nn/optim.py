@@ -12,7 +12,7 @@ from .tensor import Tensor
 class Adam:
     beta1, beta2 = 0.9, 0.999  # moment decay rates
 
-    def __init__(self, params: list[Tensor], lr=3e-4, eps=1e-5):
+    def __init__(self, params: list[Tensor], lr, eps=1e-5):
         self.params = params
         self.lr = lr
         self.eps = eps

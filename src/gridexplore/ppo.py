@@ -216,12 +216,10 @@ def ppo_update(model, optimizer, buffer: RolloutBuffer, rng, epochs=4,
             clip_grad_norm(model.parameters(), MAX_GRAD_NORM)
             optimizer.step()
 
-            with np.errstate(over="ignore"):
-                r = np.exp(logp.data - logp_old)
             stats["policy_loss"] += -float(policy_obj.data)
             stats["value_loss"] += float(value_loss.data)
             stats["entropy"] += float(entropy.data)
-            stats["clip_fraction"] += float(np.mean(np.abs(r - 1.0) > CLIP))
+            stats["clip_fraction"] += float(np.mean(np.abs(ratio.data - 1.0) > CLIP))
             stats["approx_kl"] += float(np.mean(logp_old - logp.data))
             n_updates += 1
     model.eval()
@@ -311,7 +309,7 @@ class Collector:
                                             buf.clean_next[t], buf.dones[t])
 
                 self.cur_obs = buf.obs_next[t].copy()
-                self.policy_hidden = h_next.data.astype(np.float32)
+                self.policy_hidden = h_next.data
                 self.episode_returns += res.reward
                 done = np.flatnonzero(res.done)
                 if done.size:

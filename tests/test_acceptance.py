@@ -174,7 +174,7 @@ def test_accept_bonus_matches_brute_force_oracle():
                 assert got == 0.0  # empty memory earns nothing
             if terminal:
                 reference = []
-                assert len(mem) == 0  # terminal clears the memory
+                assert mem.count == 0  # terminal clears the memory
             else:
                 reference.append((e_obs, e_traj))
             if terminal and rng.random() < 0.5:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 
 import numpy as np
@@ -354,7 +355,7 @@ def test_state_id_ignores_step_count():
 def test_toggling_door_changes_state_id():
     w = _corridor()
     w.set_cell(2, 1, Obj.DOOR, Color.RED, DoorState.CLOSED)
-    before = w.copy()
+    before = copy.deepcopy(w)
     s0 = state_id(w)
     step(w, Action.TOGGLE)
     assert state_id(w) != s0
@@ -655,7 +656,7 @@ def _check_solvable(task, seeds):
         w = generate(spec, seed)
         path = solve(w)
         assert path is not None, f"{task} seed {seed} unsolvable"
-        replay = w.copy()
+        replay = copy.deepcopy(w)
         replay.max_steps = 10**9
         reward = 0.0
         for a in path:
@@ -685,7 +686,7 @@ def test_solver_opens_the_door_with_a_carried_key(seed):
     path = solve(w)
     assert path is not None
     assert Action.PICKUP not in path and path.count(Action.TOGGLE) == 1
-    replay = w.copy()
+    replay = copy.deepcopy(w)
     replay.max_steps = 10**9
     for a in path:
         reward, done = step(replay, a)

@@ -441,6 +441,27 @@ def test_aggregate_refuses_seeds_of_other_frames(tmp_path, grids):
     assert not (tmp_path / "agg.csv").exists()
 
 
+def test_aggregate_names_the_line_of_a_non_numeric_cell(tmp_path):
+    good, bad = tmp_path / "seed1.csv", tmp_path / "seed2.csv"
+    good.write_text("frames,mean_return\n64,0.5\n128,0.5\n")
+    bad.write_text("frames,mean_return\n64,0.5\n128,abc\n")
+    with pytest.raises(OutputError) as err:
+        aggregate_csv(str(tmp_path / "agg.csv"), [str(good), str(bad)])
+    assert str(err.value) == (f"{bad}, line 3: could not convert string to "
+                              "float: 'abc'")
+    assert not (tmp_path / "agg.csv").exists()
+
+
+def test_aggregate_names_the_line_of_a_row_of_another_width(tmp_path):
+    good, bad = tmp_path / "seed1.csv", tmp_path / "seed2.csv"
+    good.write_text("frames,mean_return\n64,0.5\n128,0.5\n")
+    bad.write_text("frames,mean_return\n64,0.5\n128\n")
+    with pytest.raises(OutputError) as err:
+        aggregate_csv(str(tmp_path / "agg.csv"), [str(good), str(bad)])
+    assert str(err.value) == f"{bad}, line 3: row width 1, header width 2"
+    assert not (tmp_path / "agg.csv").exists()
+
+
 def test_aggregate_mean_within_seed_range(tmp_path):
     rng = np.random.default_rng(3)
     paths = []
@@ -909,6 +930,39 @@ def test_trainer_load_rejects_missing_memory_array(tmp_path):
         Trainer(_tiny_config(), 1).load(path)
 
 
+@pytest.mark.parametrize("method", ["DEIR", "PlainNovelty"])
+def test_memory_rows_survive_a_checkpoint_bit_equal(tmp_path, method):
+    cfg = _tiny_config(method=method)
+    t = Trainer(cfg, 1)
+    t.train_iteration()
+    path = str(tmp_path / "run.ckpt")
+    t.save(path)
+    assert [k for k in load_checkpoint(path) if k.startswith("mx.mem")] == [
+        f"mx.mem{w}_{part}" for w in range(cfg.workers)
+        for part in ("obs", "traj")]
+    back = Trainer.from_checkpoint(path)
+    assert any(mem.count for mem in t.method.memories)
+    for mem, loaded in zip(t.method.memories, back.method.memories):
+        assert loaded.count == mem.count
+        for a, b in ((mem.obs, loaded.obs), (mem.traj, loaded.traj)):
+            assert (b.dtype, b.tobytes()) == (a.dtype, a.tobytes())
+    assert back.train_iteration() == t.train_iteration()
+
+
+@pytest.mark.parametrize("rows, match", [
+    ((43, 43), r"mx\.mem0_obs and mx\.mem0_traj hold 43 and 43 rows, for a "
+               r"capacity of 42$"),
+    ((32, 31), r"hold 32 and 31 rows, for a capacity of 42$"),
+], ids=["past_capacity", "lengths_differ"])
+def test_trainer_load_refuses_malformed_memory_rows(tmp_path, rows, match):
+    path, state = _saved_state(tmp_path)
+    for part, n in zip(("obs", "traj"), rows):
+        state[f"mx.mem0_{part}"] = np.zeros((n, 8), np.float32)
+    save_checkpoint(path, state)
+    with pytest.raises(CheckpointError, match=match):
+        Trainer(_tiny_config(), 1).load(path)
+
+
 def test_bonus_diagnostics_are_zero_without_their_part():
     for method in ("NoIntrinsic", "ForwardError", "InverseDriven", "RND"):
         row = Trainer(_tiny_config(method=method), 1).train_iteration()
@@ -967,7 +1021,8 @@ def test_neg_shortfall_counts_negatives_an_empty_queue_cannot_supply():
     cfg = _tiny_config()
     t = Trainer(cfg, 1)
     buf = t.collector.collect(cfg.rollout_steps)
-    t.method.queue = type(t.method.queue)(cfg.queue_size)  # empty
+    t.method.queue = type(t.method.queue)(cfg.queue_size,  # empty
+                                          cfg.queue_smoothing)
     stats = t.method.update(buf, np.random.default_rng(0), epochs=2,
                             minibatch=cfg.model_minibatch)
     batches = 2 * (buf.raw_ir.size // cfg.model_minibatch)
@@ -1100,7 +1155,8 @@ def test_probe_dataset_and_heads_smoke():
         assert np.all((labels >= 0.0) & (labels <= 1.0))
 
     rng = np.random.default_rng(0)
-    model = DiscModel(7, 7, rng, embed_dim=8, hidden=16, channels=(4, 8, 8))
+    model = DiscModel(7, 7, rng, embed_dim=8, hidden=16, channels=(4, 8, 8),
+                      norm="batch")
     emb, labels = embed_dataset(model, data)
     assert emb.shape[0] == labels.shape[0] >= 200
     losses = probe_embeddings(emb, labels, np.random.default_rng(1), epochs=2)

@@ -22,7 +22,7 @@ def make_memory(obs_rows, traj_rows):
     traj_rows = np.asarray(traj_rows, dtype=np.float32)
     mem = EpisodicMemory(obs_rows.shape[1], traj_rows.shape[1], 64)
     for o, t in zip(obs_rows, traj_rows):
-        mem.append(o, t)
+        mem.end_step(o, t, terminal=False)
     return mem
 
 
@@ -35,7 +35,7 @@ def test_empty_memory_gives_zero_and_appends():
     r = intrinsic_reward(np.ones(4, np.float32), np.zeros(4, np.float32),
                          mem, terminal=False)
     assert r == 0.0
-    assert len(mem) == 1
+    assert mem.count == 1
 
 
 def test_hand_computed_ratio():
@@ -62,7 +62,19 @@ def test_terminal_clears_memory():
     mem = make_memory([[0.0, 0.0]], [[0.0, 0.0]])
     intrinsic_reward(np.ones(2, np.float32), np.ones(2, np.float32),
                      mem, terminal=True)
-    assert len(mem) == 0
+    assert mem.count == 0
+
+
+def test_end_step_clears_on_terminal_and_stops_at_capacity():
+    mem = EpisodicMemory(2, 2, 2)
+    row = np.ones(2, np.float32)
+    for _ in range(2):
+        mem.end_step(row, row, terminal=False)
+    with pytest.raises(ValueError, match="capacity exceeded"):
+        mem.end_step(row, row, terminal=False)
+    assert mem.count == 2
+    mem.end_step(row, row, terminal=True)
+    assert mem.count == 0
 
 
 def test_reward_is_nonnegative_and_scales_quadratically():
@@ -86,6 +98,8 @@ def test_novelty_ablation_is_numerator_only():
     mem = make_memory(obs, np.zeros_like(obs))
     r = novelty_reward(np.array([3.0, 4.0], np.float32), mem, terminal=False)
     assert r == pytest.approx(min(25.0, 13.0))
+    # the appended pair keeps a zero trajectory row
+    assert mem.traj.tobytes() == np.zeros((3, 2), np.float32).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +111,7 @@ def _obs(i):
 
 
 def test_empty_queue_always_inserts():
-    q = ObservationQueue(max_size=4)
+    q = ObservationQueue(max_size=4, smoothing=0.9)
     update_queue(q, *_obs(1), r_i=-100.0)
     assert len(q) == 1
 
@@ -111,7 +125,7 @@ def test_below_average_reward_skips_insert():
 
 
 def test_fifo_eviction_preserves_order():
-    q = ObservationQueue(max_size=2)
+    q = ObservationQueue(max_size=2, smoothing=0.9)
     for i in (1, 2, 3):
         update_queue(q, *_obs(i), r_i=100.0)
     assert len(q) == 2
@@ -119,21 +133,21 @@ def test_fifo_eviction_preserves_order():
 
 
 def test_queue_never_exceeds_max_size():
-    q = ObservationQueue(max_size=5)
+    q = ObservationQueue(max_size=5, smoothing=0.9)
     for i in range(50):
         update_queue(q, *_obs(i % 7), r_i=float(i))
     assert len(q) <= 5
 
 
 def test_queue_state_round_trip_after_wrap():
-    q = ObservationQueue(max_size=4)
+    q = ObservationQueue(max_size=4, smoothing=0.9)
     for i in range(6):
         update_queue(q, *_obs(i), r_i=100.0)
     arrays = q.state_arrays("q.")
     assert arrays["q.obs"].dtype == np.uint8
     assert arrays["q.net"].dtype == np.float32
     assert [int(o[0, 0]) for o in arrays["q.obs"]] == [2, 3, 4, 5]
-    back = ObservationQueue(max_size=4)
+    back = ObservationQueue(max_size=4, smoothing=0.9)
     back.load_state(arrays, "q.")
     assert back.running_avg == q.running_avg
     for i in (6, 7, 8):  # both go on evicting in the same order
@@ -144,7 +158,7 @@ def test_queue_state_round_trip_after_wrap():
 
 
 def test_sample_negative_skips_true_next():
-    q = ObservationQueue(max_size=4)
+    q = ObservationQueue(max_size=4, smoothing=0.9)
     clean, net = _obs(1)
     update_queue(q, clean, net, r_i=1.0)
     assert sample_negative(q, clean, np.random.default_rng(0)) is None
@@ -157,7 +171,7 @@ def test_sample_negative_skips_true_next():
 
 
 def test_sample_negative_is_uniform():
-    q = ObservationQueue(max_size=16)
+    q = ObservationQueue(max_size=16, smoothing=0.9)
     for i in range(10):
         update_queue(q, *_obs(i), r_i=100.0)
     rng = np.random.default_rng(1)
@@ -213,7 +227,7 @@ def test_momentum_update_matches_hand_formula():
 def _toy_model(view=3, embed=8):
     rng = np.random.default_rng(0)
     return DiscModel(view, 7, rng, embed_dim=embed, hidden=16,
-                     channels=(4, 8, 8))
+                     channels=(4, 8, 8), norm="batch")
 
 
 def _toy_obs(rng, n, view=3):
@@ -259,7 +273,7 @@ def _positives(rng, n=12, view=3, embed=8):
 
 
 def _filled_queue(rng, n=20, view=3):
-    q = ObservationQueue(max_size=64)
+    q = ObservationQueue(max_size=64, smoothing=0.9)
     for _ in range(n):
         net = _toy_obs(rng, 1, view)[0]
         update_queue(q, (net * 10).astype(np.uint8), net, r_i=100.0)
@@ -284,7 +298,7 @@ def test_disc_batch_is_half_positive_half_negative():
 def test_disc_batch_empty_queue_shrinks():
     rng = np.random.default_rng(4)
     pos = _positives(rng)
-    q = ObservationQueue(max_size=8)
+    q = ObservationQueue(max_size=8, smoothing=0.9)
     batch = build_disc_batch(pos, q, 16, rng)
     assert batch["label"].sum() == 8 and len(batch["label"]) == 8
 
@@ -327,7 +341,8 @@ def test_disc_loss_trains_on_toy_batch():
 
 def test_forward_error_zero_for_realizable_prediction():
     rng = np.random.default_rng(7)
-    model = ForwardModel(3, 7, rng, embed_dim=8, hidden=16, channels=(4, 8, 8))
+    model = ForwardModel(3, 7, rng, embed_dim=8, hidden=16,
+                         channels=(4, 8, 8), norm="batch")
     model.eval()
     e = rng.standard_normal((2, 8)).astype(np.float32)
     act = np.eye(7, dtype=np.float32)[[0, 3]]
@@ -338,7 +353,8 @@ def test_forward_error_zero_for_realizable_prediction():
 
 def test_forward_model_loss_decreases():
     rng = np.random.default_rng(8)
-    model = ForwardModel(3, 7, rng, embed_dim=8, hidden=16, channels=(4, 8, 8))
+    model = ForwardModel(3, 7, rng, embed_dim=8, hidden=16,
+                         channels=(4, 8, 8), norm="batch")
     opt = Adam(model.parameters(), lr=3e-3)
     batch = {
         "obs_t": _toy_obs(rng, 8),
@@ -357,7 +373,8 @@ def test_forward_model_loss_decreases():
 
 def test_inverse_model_loss_decreases():
     rng = np.random.default_rng(9)
-    model = InverseModel(3, 7, rng, embed_dim=8, hidden=16, channels=(4, 8, 8))
+    model = InverseModel(3, 7, rng, embed_dim=8, hidden=16,
+                         channels=(4, 8, 8), norm="batch")
     opt = Adam(model.parameters(), lr=3e-3)
     batch = {
         "obs_t": _toy_obs(rng, 8),
@@ -407,7 +424,7 @@ def test_target_pass_builds_no_graph(model_cls, monkeypatch):
     rng = np.random.default_rng(11)
     if model_cls is ForwardModel:
         model = ForwardModel(3, 7, rng, embed_dim=8, hidden=16,
-                             channels=(4, 8, 8))
+                             channels=(4, 8, 8), norm="batch")
     else:
         model = RndModel(3, rng, embed_dim=8, channels=(4, 8, 8))
     model.train()

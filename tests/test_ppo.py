@@ -184,7 +184,8 @@ def _tiny_setup(method_name="NoIntrinsic", n_workers=2, seed=0):
     rng = np.random.default_rng(seed)
     spec = EnvSpec("MultiRoomN2S4")
     env = Env(spec, [100 + w for w in range(n_workers)])
-    policy = ActorCritic(7, 7, rng, embed_dim=8, hidden=16, channels=(4, 8, 8))
+    policy = ActorCritic(7, 7, rng, embed_dim=8, hidden=16, channels=(4, 8, 8),
+                         norm="batch")
     cfg = ExperimentConfig(method=method_name, embed_dim=8, hidden=16,
                            channels=(4, 8, 8), method_lr=1e-3, queue_size=256)
     method = make_method(cfg, rng, n_workers)

@@ -125,6 +125,17 @@ def test_aggregate_refuses_an_empty_seed_csv_in_one_line(tmp_path):
     assert not (tmp_path / "agg.csv").exists()
 
 
+def test_aggregate_refuses_a_malformed_seed_csv_in_one_line(tmp_path):
+    a, bad = tmp_path / "seed1.csv", tmp_path / "seed2.csv"
+    a.write_text("frames,mean_return\n64,0.5\n")
+    bad.write_text("frames,mean_return\n64,n/a\n")
+    res = _run("aggregate.py", "--out", tmp_path / "agg.csv", a, bad)
+    assert res.returncode == 1
+    assert res.stderr.strip() == (f"aggregate: {bad}, line 2: could not "
+                                  "convert string to float: 'n/a'")
+    assert not (tmp_path / "agg.csv").exists()
+
+
 def test_shipped_configs_load():
     paths = glob.glob(os.path.join(ROOT, "configs", "*.cfg"))
     assert paths
