@@ -58,8 +58,11 @@ class Env:
             obs = modifiers.hide_obstacles(obs)
         # noise is drawn per worker, each from its own stream
         sigma = self.spec.noise_sigma
-        net = np.stack([modifiers.apply_noise(row, sigma, self._noise_rngs[i])
-                        for row, i in zip(modifiers.normalize_obs(obs), idx)])
+        net = modifiers.normalize_obs(obs)
+        if sigma != 0:
+            net = np.stack([modifiers.apply_noise(row, sigma,
+                                                  self._noise_rngs[i])
+                            for row, i in zip(net, idx)])
         return StepResult(obs, net, reward, done,
                           core.state_id_batch(planes, worlds))
 

@@ -131,10 +131,18 @@ class ObservationQueue:
     def __getitem__(self, i):
         if not 0 <= i < self.count:
             raise IndexError(i)
-        j = (self._start + i) % self.max_size
-        if not self.keep_net:
-            return self._obs[j], normalize_obs(self._obs[j])
-        return self._obs[j], self._net[j]
+        return self.obs(i), self.net(i)
+
+    def obs(self, idx):
+        """Integer observations of the live rows `idx` (an int or an int
+        array; 0 is the oldest row), unchecked."""
+        return self._obs[(self._start + idx) % self.max_size]
+
+    def net(self, idx):
+        """Network observations of the live rows `idx`, as `obs` reads
+        them; without kept network rows, one `normalize_obs` call."""
+        j = (self._start + idx) % self.max_size
+        return self._net[j] if self.keep_net else normalize_obs(self._obs[j])
 
     def _allocate(self, obs, net_obs):
         obs = np.asarray(obs)
@@ -163,10 +171,10 @@ class ObservationQueue:
         """Running average and the live rows, oldest first."""
         out = {f"{prefix}running_avg": np.array([self.running_avg])}
         if self.count:
-            rows = (self._start + np.arange(self.count)) % self.max_size
-            out[f"{prefix}obs"] = self._obs[rows]
+            live = np.arange(self.count)
+            out[f"{prefix}obs"] = self.obs(live)
             if self.keep_net:
-                out[f"{prefix}net"] = self._net[rows]
+                out[f"{prefix}net"] = self.net(live)
         return out
 
     def load_state(self, arrays, prefix=""):
@@ -192,14 +200,15 @@ def update_queue(q: ObservationQueue, obs, net_obs, r_i: float) -> None:
 
 
 def sample_negative(q: ObservationQueue, true_next, rng):
-    """Up to two uniform draws; first whose integer obs differs from
-    true_next wins. None when the queue is empty or both draws collide."""
+    """Up to two uniform draws of a queue index; the first whose integer
+    obs differs from true_next, byte for byte, wins. None when the queue
+    is empty or both draws collide."""
+    if q.count == 0:
+        return None
     for _ in range(2):
-        if q.count == 0:
-            return None
-        item = q[int(rng.integers(q.count))]
-        if not np.array_equal(item[0], true_next):
-            return item
+        i = int(rng.integers(q.count))
+        if q.obs(i).tobytes() != true_next.tobytes():
+            return i
     return None
 
 
@@ -245,22 +254,19 @@ def build_disc_batch(positives, q: ObservationQueue, size: int, rng):
     n = positives["obs_t"].shape[0]
     half = size // 2
     pos_idx = rng.integers(n, size=half)
-    neg_rows = []
+    neg_idx, neg_rows = [], []  # positive rows and their queue draws
     attempts = 0
     while len(neg_rows) < half and attempts < 4 * half:
         attempts += 1
         i = int(rng.integers(n))
-        neg = sample_negative(q, positives["clean_next"][i], rng)
-        if neg is not None:
-            neg_rows.append((i, neg[1]))
-    neg_idx = np.array([i for i, _ in neg_rows], dtype=np.int64)
-    idx = np.concatenate([pos_idx, neg_idx]).astype(np.int64)
-    obs_x_pos = positives["obs_next"][pos_idx]
+        j = sample_negative(q, positives["clean_next"][i], rng)
+        if j is not None:
+            neg_idx.append(i)
+            neg_rows.append(j)
+    idx = np.concatenate([pos_idx, np.array(neg_idx, np.int64)])
+    obs_x = positives["obs_next"][pos_idx]
     if neg_rows:
-        obs_x_neg = np.stack([o for _, o in neg_rows])
-        obs_x = np.concatenate([obs_x_pos, obs_x_neg])
-    else:
-        obs_x = obs_x_pos
+        obs_x = np.concatenate([obs_x, q.net(np.array(neg_rows))])
     label = np.concatenate(
         [np.ones(half, dtype=np.float32),
          np.zeros(len(neg_rows), dtype=np.float32)]

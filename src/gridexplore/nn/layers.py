@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 
 from .serialize import restored
-from .tensor import GraphError, Tensor, conv2d, gru_cell, normalize
+from .tensor import (GraphError, Tensor, conv2d, fold_stats, gru_cell,
+                     normalize)
 
 EPS_NORM = 1e-8  # sigma floor shared by both normalization modes
 
@@ -136,17 +137,32 @@ class BatchNorm(_Norm):
         super().__init__(num_features)
         self.running_mean = np.zeros(num_features, dtype=np.float32)
         self.running_var = np.ones(num_features, dtype=np.float32)
+        self._fold = None  # (key, fold) of the last eval-mode call
 
     def _buffers(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
+    def _eval_stats(self, x: Tensor):
+        """The `fold_stats` fold of the running stats for x, kept until a
+        call finds gamma, beta, the running stats, x's dtype or x's
+        sample shape changed in any byte; an optimizer step, a training
+        forward, a checkpoint load or an in-place write each make it
+        fold again."""
+        arrays = (self.gamma.data, self.beta.data, self.running_mean,
+                  self.running_var)
+        key = (x.dtype, x.shape[1:] or x.shape) + tuple(
+            (a.dtype, a.tobytes()) for a in arrays)
+        if self._fold is None or self._fold[0] != key:
+            mean, var = (s.astype(x.dtype, copy=False) for s in arrays[2:])
+            self._fold = key, fold_stats(self.gamma.data, self.beta.data,
+                                         mean, var, self.eps, x.shape)
+        return self._fold[1]
+
     def __call__(self, x: Tensor, relu=False) -> Tensor:
         axes = tuple(range(x.data.ndim - 1))
         if not self.training:
-            stats = (self.running_mean.astype(x.dtype, copy=False),
-                     self.running_var.astype(x.dtype, copy=False))
-            return normalize(x, self.gamma, self.beta, axes, self.eps, stats,
-                             relu)[0]
+            return normalize(x, self.gamma, self.beta, axes, self.eps,
+                             self._eval_stats(x), relu)[0]
         if x.size // x.shape[-1] < 2:
             raise GraphError("batch norm needs at least 2 samples in training")
         y, mean, var = normalize(x, self.gamma, self.beta, axes, self.eps,

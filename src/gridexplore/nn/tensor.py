@@ -432,6 +432,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, k: int) -> Tensor:
     return x._make(out_data, (x, w, b), backward)
 
 
+def fold_stats(gamma: np.ndarray, beta: np.ndarray, mean: np.ndarray,
+               var: np.ndarray, eps: float, shape) -> tuple:
+    """The constants of `normalize` with fixed (mean, var) over inputs of
+    `shape`: mean and var, then mean, 1/sqrt(var + eps), the scale
+    gamma/sqrt(var + eps) and the shift beta - mean * scale, each spread
+    over one sample (`_per_sample`). Only the sample shape matters, so
+    one fold serves every batch size."""
+    inv = 1.0 / np.sqrt(var + eps)
+    scale = gamma * inv
+    return (mean, var) + tuple(_per_sample(v, shape)
+                               for v in (mean, inv, scale, beta - mean * scale))
+
+
 def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float,
               stats=None, relu=False):
     """gamma * (x - mean) / sqrt(var + eps) + beta as one op; gamma and
@@ -439,10 +452,10 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float,
     relu of that, rectified in place, and its backward masks the output
     gradient before the normalize backward.
 
-    `stats` = (mean, var) are constants (eval-mode batch norm), folded
-    into one scale and shift per feature. Without them mean and var are
-    the biased moments of x over `axes`, and the gradient flows through
-    them too. Returns the output and the (mean, var) it used.
+    `stats` is the `fold_stats` fold of constant (mean, var) (eval-mode
+    batch norm): one scale and shift per feature. Without it mean and
+    var are the biased moments of x over `axes`, and the gradient flows
+    through them too. Returns the output and the (mean, var) it used.
 
     Without `stats` and with `relu`, a non-leaf x is taken to be the
     fresh output of the conv2d or Dense op just before this one, which
@@ -473,18 +486,16 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float,
             out.grad if mask is None else mask * out.grad))
 
     if stats is not None:
-        mean, var = stats
-        inv = 1.0 / np.sqrt(var + eps)
-        scale = gamma.data * inv
-        out_data = x.data * spread(scale)
-        out_data += spread(beta.data - mean * scale)
+        mean, var, mean_s, inv_s, scale_s, shift_s = stats
+        out_data = x.data * scale_s
+        out_data += shift_s
 
         def backward(g):
-            xhat = x.data - spread(mean)
-            xhat *= spread(inv)
+            xhat = x.data - mean_s
+            xhat *= inv_s
             gamma._accum(_colsum(g * xhat))
             beta._accum(_colsum(g))
-            x._accum(g * spread(scale))
+            x._accum(g * scale_s)
 
         return output(out_data, backward), mean, var
     n = x.data.size // shape[-1]
@@ -526,6 +537,31 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float,
     return output(out_data, backward), mean, var
 
 
+def _gru_step(x, h, w, u, un, b):
+    """One GRU step on arrays: h' and the values its gradient reads."""
+    hs = h.shape[1]
+    gx = x @ w + b
+    gh = h @ u
+    z = _sigmoid(gx[:, :hs] + gh[:, :hs])
+    r = _sigmoid(gx[:, hs : 2 * hs] + gh[:, hs:])
+    rh = r * h
+    n = np.tanh(gx[:, 2 * hs :] + rh @ un)
+    return (1 - z) * n + z * h, (x, h, z, r, n, rh)
+
+
+def _gru_step_grads(g, saved, w, u, un, with_h=True):
+    """Gradients (x, h, w, u, un, b) of one `_gru_step` from the output
+    gradient `g`; h's is None without `with_h`."""
+    x, h, z, r, n, rh = saved
+    dn = g * (1 - z) * (1 - n * n)
+    drh = dn @ un.T
+    dgh = np.concatenate([g * (h - n) * z * (1 - z),
+                          drh * h * r * (1 - r)], axis=1)
+    dgx = np.concatenate([dgh, dn], axis=1)
+    dh = g * z + drh * r + dgh @ u.T if with_h else None
+    return (dgx @ w.T, dh, x.T @ dgx, h.T @ dgh, rh.T @ dn, _colsum(dgx))
+
+
 def gru_cell(x: Tensor, h: Tensor, w: Tensor, u: Tensor, un: Tensor,
              b: Tensor) -> Tensor:
     """One GRU step as one op, from the fused weights of `GruCell`:
@@ -534,27 +570,53 @@ def gru_cell(x: Tensor, h: Tensor, w: Tensor, u: Tensor, un: Tensor,
     z = sigmoid(x Wz + h Uz + bz), r = sigmoid(x Wr + h Ur + br),
     n = tanh(x Wn + (r * h) Un + bn), h' = (1 - z) * n + z * h.
     """
-    hs = h.data.shape[1]
-    gx = x.data @ w.data + b.data
-    gh = h.data @ u.data
-    z = _sigmoid(gx[:, :hs] + gh[:, :hs])
-    r = _sigmoid(gx[:, hs : 2 * hs] + gh[:, hs:])
-    rh = r * h.data
-    n = np.tanh(gx[:, 2 * hs :] + rh @ un.data)
-    out_data = (1 - z) * n + z * h.data
+    out_data, saved = _gru_step(x.data, h.data, w.data, u.data, un.data,
+                                b.data)
 
     def backward(out):
-        g = out.grad
-        dn = g * (1 - z) * (1 - n * n)
-        drh = dn @ un.data.T
-        dgh = np.concatenate([g * (h.data - n) * z * (1 - z),
-                              drh * h.data * r * (1 - r)], axis=1)
-        dgx = np.concatenate([dgh, dn], axis=1)
-        x._accum(dgx @ w.data.T)
-        h._accum(g * z + drh * r + dgh @ u.data.T)
-        w._accum(x.data.T @ dgx)
-        u._accum(h.data.T @ dgh)
-        un._accum(rh.T @ dn)
-        b._accum(_colsum(dgx))
+        grads = _gru_step_grads(out.grad, saved, w.data, u.data, un.data)
+        for t, g in zip((x, h, w, u, un, b), grads):
+            t._accum(g)
 
     return x._make(out_data, (x, h, w, u, un, b), backward)
+
+
+def gru_sequence(x: Tensor, h0: np.ndarray, keep: np.ndarray, w: Tensor,
+                 u: Tensor, un: Tensor, b: Tensor) -> Tensor:
+    """L GRU steps over x of shape (B, L, E) as one op, from the initial
+    state h0 (B, H); returns the L states stacked time-major, (L*B, H).
+
+    The state entering step t >= 1 is h * keep[:, t - 1, None] (a 0 in
+    `keep` starts a fresh episode). h0 and keep are constants. Each step
+    is `gru_cell`'s arithmetic on the same arrays; the backward replays
+    the steps from the last, accumulating the weight gradients one step
+    at a time, so the values and their summation order are those of the
+    unrolled graph of slices, masks, `gru_cell` steps and a concat.
+    """
+    B, L = x.data.shape[:2]
+    weights = (w.data, u.data, un.data, b.data)
+    steps, outs = [], []
+    h = h0
+    for t in range(L):
+        if t:
+            h = outs[-1] * keep[:, t - 1, None]
+        h_next, saved = _gru_step(x.data[:, t, :], h, *weights)
+        steps.append(saved)
+        outs.append(h_next)
+    out_data = np.concatenate(outs, axis=0)
+
+    def backward(out):
+        dx = np.zeros_like(x.data)
+        dh = None
+        for t in range(L - 1, -1, -1):
+            g = out.grad[t * B : (t + 1) * B]
+            if dh is not None:
+                g = g + dh * keep[:, t, None]
+            dxt, dh, dw, du, dun, db = _gru_step_grads(
+                g, steps[t], w.data, u.data, un.data, with_h=t > 0)
+            dx[:, t, :] += dxt
+            for p, d in zip((w, u, un, b), (dw, du, dun, db)):
+                p._accum(d)
+        x._accum(dx)
+
+    return x._make(out_data, (x, w, u, un, b), backward)

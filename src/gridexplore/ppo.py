@@ -14,10 +14,10 @@ from .nn import (
     Mlp,
     Tensor,
     clip_grad_norm,
-    concat,
     no_grad,
     restored,
 )
+from .nn.tensor import gru_sequence
 
 
 # the PPO recipe every method trains under
@@ -143,16 +143,10 @@ def _segment_forward(model, obs, h0, done_prev):
     B, L = obs.shape[0], obs.shape[1]
     flat = obs.reshape((B * L,) + obs.shape[2:])
     e = model.encoder(Tensor(flat)).reshape(B, L, model.embed_dim)
-    h = Tensor(h0)
-    outs = []
-    for t in range(L):
-        if t > 0:
-            # a done at t-1 means this step starts a fresh episode
-            mask = (~done_prev[:, t - 1, None]).astype(np.float32)
-            h = h * Tensor(mask)
-        h = model.gru(e[:, t, :], h)
-        outs.append(h)
-    return concat(outs, axis=0)
+    # a done at t-1 means step t starts a fresh episode
+    keep = (~done_prev[:, :-1]).astype(np.float32)
+    gru = model.gru
+    return gru_sequence(e, h0, keep, gru.w, gru.u, gru.un, gru.b)
 
 
 def ppo_update(model, optimizer, buffer: RolloutBuffer, rng, epochs=4,

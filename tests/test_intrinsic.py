@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gridexplore.baselines import ForwardModel, InverseModel, RndModel, forward_error
+from gridexplore.envs import normalize_obs
 from gridexplore.intrinsic import (
     DiscModel,
     EpisodicMemory,
@@ -167,7 +168,7 @@ def test_sample_negative_skips_true_next():
     for _ in range(20):
         neg = sample_negative(q, clean, rng)
         if neg is not None:
-            assert not np.array_equal(neg[0], clean)
+            assert not np.array_equal(q[neg][0], clean)
 
 
 def test_sample_negative_is_uniform():
@@ -180,7 +181,7 @@ def test_sample_negative_is_uniform():
     n = 10_000
     for _ in range(n):
         neg = sample_negative(q, absent, rng)
-        counts[int(neg[0][0, 0])] += 1
+        counts[int(q[neg][0][0, 0])] += 1
     p = 1 / 10
     sigma = np.sqrt(n * p * (1 - p))
     assert np.all(np.abs(counts - n * p) < 5 * sigma)
@@ -293,6 +294,68 @@ def test_disc_batch_is_half_positive_half_negative():
         assert any(np.array_equal(batch["obs_x"][i], n) for n in queue_nets)
         for j in range(pos["obs_next"].shape[0]):
             assert not np.array_equal(batch["obs_x"][i], pos["obs_next"][j])
+
+
+def _disc_batch_by_rows(positives, q, size, rng):
+    """`build_disc_batch` as it read one (obs, net) queue row per
+    negative draw and stacked them, kept as the reference."""
+    n = positives["obs_t"].shape[0]
+    half = size // 2
+    pos_idx = rng.integers(n, size=half)
+    neg_rows = []
+    attempts = 0
+    while len(neg_rows) < half and attempts < 4 * half:
+        attempts += 1
+        i = int(rng.integers(n))
+        for _ in range(2):
+            item = None
+            if q.count == 0:
+                break
+            item = q[int(rng.integers(q.count))]
+            if not np.array_equal(item[0], positives["clean_next"][i]):
+                break
+            item = None
+        if item is not None:
+            neg_rows.append((i, item[1]))
+    idx = np.concatenate([pos_idx, [i for i, _ in neg_rows]]).astype(np.int64)
+    obs_x = positives["obs_next"][pos_idx]
+    if neg_rows:
+        obs_x = np.concatenate([obs_x, np.stack([o for _, o in neg_rows])])
+    label = np.concatenate([np.ones(half, np.float32),
+                            np.zeros(len(neg_rows), np.float32)])
+    return {"obs_t": positives["obs_t"][idx],
+            "action": positives["action"][idx], "obs_x": obs_x,
+            "h_prev": positives["h_prev"][idx], "label": label}
+
+
+@pytest.mark.parametrize("keep_net", [False, True])
+@pytest.mark.parametrize("rows", [(0, 10, 11, 0, 10, 11), (0,) * 6])
+def test_disc_batch_is_bit_equal_to_reading_one_row_per_negative(rows,
+                                                                 keep_net):
+    rng = np.random.default_rng(8)
+    pos = _positives(rng)
+    pos["clean_next"][1:10] = pos["clean_next"][0]  # draws collide often
+    q = ObservationQueue(max_size=4, smoothing=0.9, keep_net=keep_net)
+    for k in rows:  # six pushes wrap the ring
+        clean = pos["clean_next"][k]
+        net = normalize_obs(clean)
+        if keep_net:
+            net = net + rng.standard_normal(net.shape).astype(np.float32)
+        q.push(clean, net)
+    for size in (16, 64):
+        a, b = np.random.default_rng(size), np.random.default_rng(size)
+        got = build_disc_batch(pos, q, size, a)
+        want = _disc_batch_by_rows(pos, q, size, b)
+        assert a.bit_generator.state == b.bit_generator.state
+        negatives = (got["label"] == 0).sum()
+        # a queue of one row comes up short; a mixed one does not
+        assert 0 < negatives < size // 2 if len(set(rows)) == 1 \
+            else negatives == size // 2
+        assert got.keys() == want.keys()
+        for k in got:
+            assert got[k].dtype == want[k].dtype, k
+            assert got[k].shape == want[k].shape, k
+            assert got[k].tobytes() == want[k].tobytes(), k
 
 
 def test_disc_batch_empty_queue_shrinks():

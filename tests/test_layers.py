@@ -16,7 +16,9 @@ from gridexplore.nn import (
     concat,
     no_grad,
 )
-from gridexplore.nn.tensor import _colsum, conv2d, normalize
+from gridexplore.nn import Adam
+from gridexplore.nn.tensor import (_colsum, conv2d, fold_stats, gru_cell,
+                                   gru_sequence, normalize)
 
 from gradcheck import max_grad_error, rand_tensor, to_float64
 
@@ -580,7 +582,8 @@ def test_normalize_is_bit_equal_to_the_broadcast_formulas(shape, mode,
                  rng.uniform(0.5, 2.0, c).astype(np.float32))
     eps = BatchNorm.eps
     x, gamma, beta = Tensor(data), Tensor(gd), Tensor(bd)
-    out, mean, var = normalize(x, gamma, beta, axes, eps, stats)
+    fold = stats and fold_stats(gd, bd, *stats, eps, shape)
+    out, mean, var = normalize(x, gamma, beta, axes, eps, fold)
     out.backward(g)
     got = (out.data, mean, var, x.grad, gamma.grad, beta.grad)
     want = _old_normalize(data, gd, bd, axes, eps, g, stats)
@@ -681,3 +684,182 @@ def test_norm_reads_a_leaf_and_a_held_tensor_only(norm):
     norm(held).sum().backward()
     assert _bits(held.data) == _bits(data)
 
+
+
+# ---------------------------------------------------------------------------
+# gru_sequence against the per-step loop it replaced in the PPO update,
+# kept here as the reference: byte for byte
+
+
+def _gru_loop(x, h0, done_prev, w, u, un, b):
+    """A slice of x, a mask leaf times the state after a done, one
+    `gru_cell` per step, and the steps' states concatenated time-major."""
+    h = Tensor(h0)
+    outs = []
+    for t in range(x.shape[1]):
+        if t > 0:
+            mask = (~done_prev[:, t - 1, None]).astype(np.float32)
+            h = h * Tensor(mask)
+        h = gru_cell(x[:, t, :], h, w, u, un, b)
+        outs.append(h)
+    return concat(outs, axis=0)
+
+
+def _gru_sequence(x, h0, done_prev, w, u, un, b):
+    keep = (~done_prev[:, :-1]).astype(np.float32)
+    return gru_sequence(x, h0, keep, w, u, un, b)
+
+
+_DONES = {"none": [], "first": [0], "middle": [7], "last": [15],
+          "every": list(range(16))}
+
+
+@pytest.mark.parametrize("preset", [False, True])
+@pytest.mark.parametrize("dones", list(_DONES))
+@pytest.mark.parametrize("L", [1, 16])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gru_sequence_is_bit_equal_to_the_step_loop(dtype, L, dones, preset):
+    B, E, H = 5, 6, 4
+    rng = np.random.default_rng(L + len(dones))
+    cell = GruCell(E, H, rng)
+    params = [p.data.astype(dtype) for p in cell.parameters()]
+    data = rng.standard_normal((B * L, E)).astype(dtype)
+    h0 = rng.standard_normal((B, H)).astype(dtype)
+    done_prev = np.zeros((B, L), bool)
+    done_prev[:, [t for t in _DONES[dones] if t < L]] = True
+    done_prev[1] = False  # one row that never resets
+    g = rng.standard_normal((L * B, H)).astype(dtype)
+    pre = [rng.standard_normal(p.shape).astype(dtype) for p in params]
+    results = []
+    for op in (_gru_loop, _gru_sequence):
+        leaf = Tensor(data.copy())
+        x = leaf.reshape(B, L, E)  # a non-leaf, as the encoder's output
+        w, u, un, b = (Tensor(p.copy()) for p in params)
+        if preset:  # gradients already accumulated before this backward
+            w.grad, u.grad, un.grad, b.grad = (a.copy() for a in pre)
+        out = op(x, h0.copy(), done_prev, w, u, un, b)
+        out.backward(g)
+        results.append([out.data, leaf.grad, w.grad, u.grad, un.grad,
+                        b.grad])
+    for a, b in zip(*results, strict=True):
+        assert _bits(a) == _bits(b)
+
+
+def test_gru_sequence_gradients():
+    rng = np.random.default_rng(17)
+    cell = to_float64(GruCell(3, 4, rng))
+    x = rand_tensor(rng, 2, 5, 3)
+    h0 = rng.standard_normal((2, 4))
+    keep = np.array([[1, 0, 1, 1], [1, 1, 1, 0]], np.float32)
+    r = rng.standard_normal((10, 4))
+
+    def fn():
+        out = gru_sequence(x, h0, keep, cell.w, cell.u, cell.un, cell.b)
+        return (out * r).sum()
+
+    assert max_grad_error(fn, [x] + cell.parameters()) < TOL
+
+
+# ---------------------------------------------------------------------------
+# The eval-mode batch norm fold: byte-equal to the formula folded on
+# every call, and folded again whenever an input of it changes
+
+
+def _eval_reference(bn, data, g, relu):
+    """Output and x, gamma, beta gradients of eval-mode `bn` by the
+    broadcast formulas, folding the running stats afresh."""
+    stats = (bn.running_mean.astype(data.dtype),
+             bn.running_var.astype(data.dtype))
+    axes = tuple(range(data.ndim - 1))
+    out = _old_normalize(data, bn.gamma.data, bn.beta.data, axes, bn.eps,
+                         g, stats)[0]
+    if relu:
+        g = (out > 0) * g
+        out = _old_relu(out)
+    return [out] + list(_old_normalize(data, bn.gamma.data, bn.beta.data,
+                                       axes, bn.eps, g, stats)[3:])
+
+
+def _eval_call(bn, data, g, relu):
+    bn.zero_grad()
+    x = Tensor(data.copy())
+    out = bn(x, relu=relu)
+    out.backward(g)
+    return [out.data, x.grad, bn.gamma.grad, bn.beta.grad]
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("sample", [(7, 7, 3), (3, 3, 16), (16,)])
+@pytest.mark.parametrize("batch", [1, 16, 512])
+def test_eval_batch_norm_fold_is_bit_equal_to_folding_each_call(batch, sample,
+                                                                relu):
+    rng = np.random.default_rng(batch + len(sample))
+    c = sample[-1]
+    bn = BatchNorm(c)
+    bn.gamma.data = rng.uniform(0.5, 1.5, c).astype(np.float32)
+    bn.beta.data = rng.standard_normal(c).astype(np.float32)
+    bn.running_mean = rng.standard_normal(c).astype(np.float32)
+    bn.running_var = rng.uniform(0.5, 2.0, c).astype(np.float32)
+    bn.eval()
+    for _ in range(2):  # the first call folds, the second reuses the fold
+        data = (rng.standard_normal((batch,) + sample) * 2.0
+                + 0.5).astype(np.float32)
+        g = rng.standard_normal(data.shape).astype(np.float32)
+        got = _eval_call(bn, data, g, relu)
+        want = _eval_reference(bn, data, g, relu)
+        for a, b in zip(got, want, strict=True):
+            assert _bits(a) == _bits(b)
+
+
+def test_eval_batch_norm_folds_again_when_an_input_changes():
+    rng = np.random.default_rng(23)
+    bn = BatchNorm(8)
+    opt = Adam(bn.parameters(), lr=0.1)
+    batch = rng.standard_normal((32, 3, 3, 8)).astype(np.float32)
+    bn(Tensor(batch))  # training: running stats move off their init
+    bn.eval()
+    data = rng.standard_normal((16, 3, 3, 8)).astype(np.float32)
+    g = rng.standard_normal(data.shape).astype(np.float32)
+
+    def check():
+        """The fold after a call, with the call's values checked."""
+        got = _eval_call(bn, data, g, relu=True)
+        want = _eval_reference(bn, data, g, relu=True)
+        for a, b in zip(got, want, strict=True):
+            assert _bits(a) == _bits(b)
+        return bn._fold[1]
+
+    def adam_step():
+        bn.gamma.grad = bn.beta.grad = np.ones(8, np.float32)
+        opt.step()
+
+    def train_forward():
+        bn.train()
+        bn(Tensor(batch * 2.0))
+        bn.eval()
+
+    def load_state():
+        other = BatchNorm(8)
+        other.running_var = np.full(8, 3.0, np.float32)
+        bn.load_state(other.state_arrays())
+
+    def write_gamma():
+        bn.gamma.data[3] += 1.0
+
+    def write_running_var():
+        bn.running_var[5] *= 2.0
+
+    fold = check()
+    assert check() is fold  # nothing changed: reused
+    with no_grad():
+        bn(Tensor(data[:1]))  # another batch size, the same sample shape
+    assert bn._fold[1] is fold
+    for change in (adam_step, train_forward, load_state, write_gamma,
+                   write_running_var):
+        change()
+        new = check()
+        assert new is not fold, change.__name__
+        assert check() is new, change.__name__
+        fold = new
+    bn(Tensor(data.astype(np.float64)))  # another dtype
+    assert bn._fold[1] is not fold

@@ -286,3 +286,31 @@ def test_method_update_runs_for_every_mode():
                               epochs=1, minibatch=8)
         if name != "NoIntrinsic":
             assert np.isfinite(stats["model_loss"])
+
+
+def test_update_graph_sizes_are_pinned(monkeypatch):
+    # nodes reachable from each loss a backward starts at: a change that
+    # unrolls an op into many small ones again shows here. A PPO
+    # minibatch re-runs the GRU as the one op `gru_sequence`.
+    sizes = []
+    backward = Tensor.backward
+
+    def counted(root, grad=None):
+        seen, stack = {id(root)}, [root]
+        while stack:
+            for child in stack.pop()._prev:
+                if id(child) not in seen:
+                    seen.add(id(child))
+                    stack.append(child)
+        sizes.append(len(seen))
+        return backward(root, grad)
+
+    monkeypatch.setattr(Tensor, "backward", counted)
+    policy, method, collector = _tiny_setup("DEIR", seed=6)
+    buf = _finish(collector.collect(16))
+    method.update(buf, np.random.default_rng(0), epochs=1, minibatch=8)
+    assert sizes == [71] * 4  # discriminator batches
+    sizes.clear()
+    ppo_update(policy, Adam(policy.parameters(), lr=1e-3), buf,
+               np.random.default_rng(0), epochs=1, minibatch=16, bptt_len=8)
+    assert sizes == [97] * 2  # PPO minibatches of two 8-step segments
