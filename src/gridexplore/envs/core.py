@@ -127,9 +127,10 @@ class GridWorld:
 TIME_PENALTY_COEF = 0.9
 
 
-def step(world: GridWorld, action: Action):
-    """Advance the world one action. Returns (reward, done); reaching the
-    goal pays 1 - TIME_PENALTY_COEF * step_count / max_steps."""
+def step(world: GridWorld, action: int):
+    """Advance the world one action (an `Action` or its int). Returns
+    (reward, done); reaching the goal pays
+    1 - TIME_PENALTY_COEF * step_count / max_steps."""
     if world.done:
         raise EpisodeOver("step() after terminal")
     world.step_count += 1
@@ -227,17 +228,25 @@ def _flood_table():
 _FLOOD_ROW, _FLOOD_NEXT = _flood_table()
 
 
+def _clear_table():
+    """Whether light passes a cell, by (obj, state): it does unless the
+    cell is a wall, unseen, or a closed or locked door."""
+    obj, state = np.indices((max(Obj) + 1, len(DoorState)))
+    return ((obj != Obj.WALL) & (obj != Obj.UNSEEN)
+            & ((obj != Obj.DOOR) | (state == DoorState.OPEN)))
+
+_CLEAR = _clear_table()
+
+
 def _visibility(obj, state):
     """MiniGrid-style light flood from the agent anchor, row by row, for
     (..., 7, 7) windows at once.
 
-    Light passes a cell that is not a wall, not unseen and not a closed
-    or locked door. Each row is one lookup in the flood table, keyed by
-    the bits lit from the row below and the row's clear bits.
+    A cell's clear bit is one lookup in the (obj, state) clear table.
+    Each row is one lookup in the flood table, keyed by the bits lit from
+    the row below and the row's clear bits.
     """
-    clear = ((obj != Obj.WALL) & (obj != Obj.UNSEEN)
-             & ((obj != Obj.DOOR) | (state == DoorState.OPEN)))
-    clear = clear.reshape((-1, VIEW, VIEW))
+    clear = _CLEAR[obj, state].reshape((-1, VIEW, VIEW))
     clear_bits = np.packbits(clear, axis=1, bitorder="little")[:, 0, :]
     rows = np.empty(clear_bits.shape, dtype=np.uint8)
     lit = np.full(len(clear), (1 << _ANCHOR[0]) << VIEW)
@@ -250,42 +259,54 @@ def _visibility(obj, state):
     return mask.view(bool).reshape(obj.shape)
 
 
-def observe_batch(planes, worlds, view_size):
+def pose_rows(worlds) -> np.ndarray:
+    """(n, 5) uint8 rows (x, y, direction, carried object, carried color
+    + 1) of n worlds; both carried fields are 0 for empty hands."""
+    return np.array([(*w.agent_pos, w.agent_dir,
+                      *((w.carried[0], w.carried[1] + 1) if w.carried
+                        else (0, 0)))
+                     for w in worlds], np.uint8).reshape(-1, 5)
+
+
+def observe_batch(planes, rows, poses, view_size):
     """Egocentric (n, view, view, 3) uint8 observations of n worlds.
 
-    `planes` stacks their obj, color and state grids as one (3, n, w, h)
-    array; `worlds` gives each agent's pose and carried item. Always
-    rendered at 7x7 with the agent center-bottom; the reduced view is a
-    3x3 crop around the agent so its cells match the 7x7 rendering.
+    `planes` stacks the obj, color and state grids of W worlds as one
+    (3, W, w, h) array; `rows` are the n worlds' indices into its second
+    axis and `poses` their `pose_rows`. Always rendered at 7x7 with the agent
+    center-bottom; the reduced view is a 3x3 crop around the agent so its
+    cells match the 7x7 rendering.
     """
-    _, n, width, height = planes.shape
-    pos = np.array([w.agent_pos for w in worlds], dtype=np.int64)
-    dirs = np.array([w.agent_dir for w in worlds], dtype=np.int64)
-    coords = _OFFSETS[dirs] + pos[:, None, None, :]
-    cx, cy = coords[..., 0], coords[..., 1]
-    inside = (cx >= 0) & (cx < width) & (cy >= 0) & (cy < height)
-    np.clip(cx, 0, width - 1, out=cx)
-    np.clip(cy, 0, height - 1, out=cy)
-    out = np.moveaxis(planes[:, np.arange(n)[:, None, None], cx, cy], 0, -1)
+    _, _, width, height = planes.shape
+    p = poses.astype(np.intp)
+    cx = _OFFSETS[p[:, 2], ..., 0] + p[:, 0, None, None]
+    cy = _OFFSETS[p[:, 2], ..., 1] + p[:, 1, None, None]
+    # a negative coordinate wraps to a huge unsigned one
+    inside = (cx.view(np.uintp) < width) & (cy.view(np.uintp) < height)
+    cell = cx * height + cy
+    cell += (np.asarray(rows, np.intp) * (width * height))[:, None, None]
+    # off-map cells read some in-range cell, then are zeroed
+    out = planes.reshape(3, -1).take(cell, axis=1, mode="clip")
     # off the map and out of sight are both (UNSEEN, 0, 0)
-    out[~inside] = 0
-    out[~_visibility(out[..., 0], out[..., 2])] = 0
+    out *= inside
+    out *= _visibility(out[0], out[2])
 
     # anchor cell shows the carried object, or empty floor
-    out[:, _ANCHOR[0], _ANCHOR[1]] = [
-        (*w.carried, 0) if w.carried is not None else (Obj.EMPTY, 0, 0)
-        for w in worlds
-    ]
+    ax, ay = _ANCHOR
+    out[0, :, ax, ay] = np.maximum(poses[:, 3], int(Obj.EMPTY))
+    out[1, :, ax, ay] = np.maximum(poses[:, 4], 1) - 1
+    out[2, :, ax, ay] = 0
+    out = np.moveaxis(out, 0, -1)
     if view_size == 3:
-        x0, y0 = _ANCHOR[0] - 1, _ANCHOR[1] - 2
-        out = out[:, x0 : x0 + 3, y0 : y0 + 3]
+        out = out[:, ax - 1 : ax + 2, ay - 2 : ay + 1]
     return out
 
 
 def observe(world: GridWorld, spec) -> np.ndarray:
     """Egocentric (view, view, 3) uint8 observation of one world at
     `spec.view_size`."""
-    return observe_batch(_planes(world), [world], spec.view_size)[0]
+    return observe_batch(_planes(world), [0], pose_rows([world]),
+                         spec.view_size)[0]
 
 
 def _planes(world: GridWorld) -> np.ndarray:
@@ -293,14 +314,14 @@ def _planes(world: GridWorld) -> np.ndarray:
     return np.stack((world.obj, world.color, world.state))[:, None]
 
 
-def state_id_batch(planes, worlds) -> list[bytes]:
-    """Fingerprints of the full states of n worlds (grids as in
+def state_id_batch(planes, rows, poses) -> list[bytes]:
+    """Fingerprints of the full states of n worlds (arguments as in
     `observe_batch`), step-count independent.
 
-    Each covers agent pose, carried item, every door's state, and the
-    position of every movable object, doors and movables in x-major
-    order; built by direct field packing, so equal ids imply equal
-    states.
+    Each is the world's pose row, then every door's (x, y, state), then
+    every movable object's (x, y, obj, color), doors and movables in
+    x-major order; built by direct field packing, so equal ids imply
+    equal states.
     """
     _, n, width, height = planes.shape
     flat = planes.reshape(3, -1)
@@ -309,28 +330,25 @@ def state_id_batch(planes, worlds) -> list[bytes]:
 
     def pack(where, *channels):
         """Bytes (x, y, channels...) of the cells `where`, and each
-        world's end offset into them."""
+        world's start offset into them."""
         i = np.flatnonzero(where)
-        fields = [i // height % width, i % height]
-        fields += [flat[c, i] for c in channels]
-        rows = np.stack(fields, axis=1).astype(np.uint8)
-        ends = np.searchsorted(i, world_start[1:]) * len(fields)
-        return rows.tobytes(), ends.tolist()
+        _, x, y = np.unravel_index(i, planes.shape[1:])
+        packed = np.stack((x, y, *(flat[c, i] for c in channels)), axis=1,
+                          dtype=np.uint8, casting="unsafe")
+        starts = np.searchsorted(i, world_start) * packed.shape[1]
+        return packed.tobytes(), starts.tolist()
 
-    doors, door_end = pack(obj == Obj.DOOR, 2)
-    movable, movable_end = pack((obj >= Obj.KEY) & (obj <= Obj.BOX), 0, 1)
-    out = []
-    d0 = m0 = 0
-    for world, d1, m1 in zip(worlds, door_end, movable_end):
-        carried = world.carried or (0, -1)
-        pose = bytes((*world.agent_pos, world.agent_dir,
-                      carried[0], carried[1] + 1))
-        out.append(pose + doors[d0:d1] + movable[m0:m1])
-        d0, m0 = d1, m1
-    return out
+    # plain ints: a numpy compare against an IntEnum member is ~5x slower;
+    # below KEY, the uint8 `obj - KEY` wraps past BOX - KEY
+    doors, d = pack(obj == int(Obj.DOOR), 2)
+    movable, m = pack(obj - int(Obj.KEY) <= int(Obj.BOX) - int(Obj.KEY),
+                      0, 1)
+    pose = poses.tobytes()
+    return [pose[5 * k : 5 * k + 5] + doors[d[r] : d[r + 1]]
+            + movable[m[r] : m[r + 1]] for k, r in enumerate(rows)]
 
 
 def state_id(world: GridWorld) -> bytes:
     """Fingerprint of one world's full state (see `state_id_batch`)."""
-    return state_id_batch(_planes(world), [world])[0]
+    return state_id_batch(_planes(world), [0], pose_rows([world]))[0]
 

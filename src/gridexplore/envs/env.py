@@ -11,12 +11,13 @@ depend on whether noise is enabled.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core, layouts, modifiers
-from .core import Action, GridWorld
+from .core import GridWorld
 
 
 @dataclass
@@ -48,29 +49,41 @@ class Env:
         ]
         self.planes: np.ndarray | None = None  # (3, W, w, h) uint8
         self.worlds: list[GridWorld | None] = [None] * self.n_workers
+        self._rows = list(range(self.n_workers))
 
-    def _results(self, idx, reward, done):
-        """StepResult of the workers `idx`, in that order."""
-        planes = self.planes[:, idx]
-        worlds = [self.worlds[i] for i in idx]
-        obs = core.observe_batch(planes, worlds, self.spec.view_size)
+    def _results(self, rows, reward, done):
+        """StepResult of the workers `rows` (a list of indices), in that
+        order."""
+        poses = core.pose_rows([self.worlds[i] for i in rows])
+        obs = core.observe_batch(self.planes, rows, poses,
+                                 self.spec.view_size)
         if self.spec.invisible_obstacles:
             obs = modifiers.hide_obstacles(obs)
         # noise is drawn per worker, each from its own stream
         sigma = self.spec.noise_sigma
         net = modifiers.normalize_obs(obs)
         if sigma != 0:
-            net = np.stack([modifiers.apply_noise(row, sigma,
-                                                  self._noise_rngs[i])
-                            for row, i in zip(net, idx)])
+            for k, i in enumerate(rows):
+                net[k] = modifiers.apply_noise(net[k], sigma,
+                                               self._noise_rngs[i])
         return StepResult(obs, net, reward, done,
-                          core.state_id_batch(planes, worlds))
+                          core.state_id_batch(self.planes, rows, poses))
 
     def reset(self, workers=None) -> StepResult:
-        """Fresh layouts for `workers` (indices; all when None); the
-        result has one row per reset worker, in the order given."""
-        idx = list(range(self.n_workers) if workers is None else workers)
-        for i in idx:
+        """Fresh layouts for `workers` (distinct indices; all when None);
+        the result has one row per reset worker, in the order given."""
+        if workers is None:
+            rows = self._rows
+        else:
+            rows = [operator.index(i) for i in workers]
+            for k, i in enumerate(rows):
+                if not 0 <= i < self.n_workers:
+                    raise core.EnvError(f"reset(): worker {i} is out of "
+                                        f"range for {self.n_workers} workers")
+                if i in rows[:k]:
+                    raise core.EnvError(f"reset(): worker {i} is listed "
+                                        f"twice")
+        for i in rows:
             seed = int(self._layout_rngs[i].integers(2**31))
             world = layouts.generate(self.spec, seed)
             if self.planes is None:
@@ -80,18 +93,21 @@ class Env:
                 self.planes[k, i] = getattr(world, plane)
                 setattr(world, plane, self.planes[k, i])
             self.worlds[i] = world
-        n = len(idx)
-        return self._results(idx, np.zeros(n), np.zeros(n, dtype=bool))
+        n = len(rows)
+        return self._results(rows, np.zeros(n), np.zeros(n, dtype=bool))
 
     def step(self, actions) -> StepResult:
         """Advance every worker by its action; one row per worker."""
         if self.planes is None:
             raise core.EnvError("step() before reset()")
+        if len(actions) != self.n_workers:
+            raise core.EnvError(f"step() got {len(actions)} actions for "
+                                f"{self.n_workers} workers")
         reward = np.zeros(self.n_workers)
         done = np.zeros(self.n_workers, dtype=bool)
         for i, (world, a) in enumerate(zip(self.worlds, actions)):
-            reward[i], done[i] = core.step(world, Action(int(a)))
-        return self._results(range(self.n_workers), reward, done)
+            reward[i], done[i] = core.step(world, int(a))
+        return self._results(self._rows, reward, done)
 
     def state_arrays(self, prefix=""):
         """The (3, W, w, h) grid planes as an array; as JSON values, one

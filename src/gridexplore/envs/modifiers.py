@@ -11,6 +11,8 @@ from .core import FLOOR_COLOR, Obj
 
 # per-channel maxima of the integer encoding (object, color, door state)
 _CHANNEL_MAX = np.array([10.0, 5.0, 2.0], dtype=np.float32)
+# (object, door state) a wall cell becomes
+_NO_WALL = np.array([Obj.EMPTY, 0], dtype=np.uint8)
 
 
 def hide_obstacles(obs: np.ndarray) -> np.ndarray:
@@ -22,15 +24,12 @@ def hide_obstacles(obs: np.ndarray) -> np.ndarray:
     stay solid. Idempotent.
     """
     out = obs.copy()
-    blank = (
-        (out[..., 0] == Obj.UNSEEN)
-        | (out[..., 0] == Obj.EMPTY)
-        | (out[..., 0] == Obj.WALL)
-    )
-    out[..., 1][blank] = FLOOR_COLOR
-    walls = out[..., 0] == Obj.WALL
-    out[..., 0][walls] = Obj.EMPTY
-    out[..., 2][walls] = 0
+    obj = out[..., 0]
+    # plain ints: a numpy compare against an IntEnum member is slow
+    blank = obj <= int(Obj.WALL)  # unseen, empty or wall
+    walls = obj == int(Obj.WALL)
+    np.copyto(out[..., 1], int(FLOOR_COLOR), where=blank)
+    np.copyto(out[..., ::2], _NO_WALL, where=walls[..., None])
     return out
 
 

@@ -606,6 +606,8 @@ _ENV_VARIANTS = {
     "noise0.3": dict(noise_sigma=0.3),
     "invisible": dict(invisible_obstacles=True),
     "view3": dict(view_size=3),
+    # the acceptance gates' setting: all three modifiers at once
+    "gate": dict(view_size=3, noise_sigma=0.3, invisible_obstacles=True),
 }
 
 
@@ -631,6 +633,44 @@ def test_batched_env_matches_scalar_stream(task, variant):
                                                   for i in again])
 
 
+@pytest.mark.parametrize("open_border", [False, True])
+@pytest.mark.parametrize("task,seed", [("DoorKey8", 1),
+                                       ("MultiRoomN2S4", 3)])
+def test_batched_observe_and_state_id_match_scalar_at_every_pose(
+        task, seed, open_border):
+    # every walkable cell, facing every way, with and without a key (the
+    # DoorKey8 layout has a yellow key on the grid). The layout is the
+    # second of two worlds, so a wrong per-world offset reads the empty
+    # first one, and its windows are cut by the map edge. An outer wall
+    # hides every off-map cell, so the open-border case knocks it out to
+    # show whether off-map cells are blanked.
+    world = generate(EnvSpec(task), seed)
+    if open_border:
+        world.obj[[0, -1]] = world.obj[:, [0, -1]] = Obj.EMPTY
+    blank = GridWorld.empty(world.width, world.height, world.max_steps)
+    planes = np.stack([core._planes(w)[:, 0] for w in (blank, world)], 1)
+    worlds = []
+    for x in range(world.width):
+        for y in range(world.height):
+            if not world.is_walkable(x, y):
+                continue
+            for d in Dir:
+                for carried in (None, (int(Obj.KEY), int(Color.YELLOW))):
+                    worlds.append(copy.copy(world))
+                    worlds[-1].agent_pos, worlds[-1].agent_dir = (x, y), d
+                    worlds[-1].carried = carried
+    pos = np.array([w.agent_pos for w in worlds])
+    cells = core._OFFSETS[[w.agent_dir for w in worlds]] + pos[:, None, None]
+    assert np.any((cells < 0) | (cells >= (world.width, world.height)))
+    rows, poses = [1] * len(worlds), core.pose_rows(worlds)
+    for view_size in (7, 3):
+        obs = core.observe_batch(planes, rows, poses, view_size)
+        for got, w in zip(obs, worlds):
+            assert got.tobytes() == _scalar_observe(w, view_size).tobytes()
+    assert core.state_id_batch(planes, rows, poses) == [
+        _scalar_state_id(w) for w in worlds]
+
+
 def test_batched_env_worlds_are_views_of_its_planes():
     env = Env(EnvSpec("DoorKey8"), [1, 2])
     env.reset()
@@ -644,6 +684,29 @@ def test_batched_env_worlds_are_views_of_its_planes():
 def test_batched_env_step_before_reset_raises():
     with pytest.raises(core.EnvError):
         Env(EnvSpec("FourRooms"), [0]).step([0])
+
+
+@pytest.mark.parametrize("actions", [[2], [2, 2, 2, 2]])
+def test_batched_env_step_refuses_a_wrong_number_of_actions(actions):
+    env = Env(EnvSpec("FourRooms"), [0, 1, 2])
+    env.reset()
+    before = env.state_arrays()["agents"]
+    with pytest.raises(core.EnvError, match=f"{len(actions)} actions for 3"):
+        env.step(actions)
+    assert env.state_arrays()["agents"] == before
+
+
+@pytest.mark.parametrize("workers,bad", [([-1], -1), ([3], 3),
+                                         ([1, 1], 1), ([0, 2, 0], 0)])
+def test_batched_env_reset_refuses_bad_worker_indices(workers, bad):
+    env = Env(EnvSpec("FourRooms"), [0, 1, 2])
+    env.reset()
+    with pytest.raises(core.EnvError, match=f"worker {bad} "):
+        env.reset(workers)
+    # a refused reset draws no layout: the streams go on as if it never ran
+    fresh = Env(EnvSpec("FourRooms"), [0, 1, 2])
+    fresh.reset()
+    assert env.reset().state == fresh.reset().state
 
 
 # ---------------------------------------------------------------------------
